@@ -22,12 +22,11 @@
 //!   once (queries are idempotent) then answer the typed
 //!   `backend-unavailable`; `stats` aggregates per-backend snapshots
 //!   into a fleet rollup.
-//! * **Gateway reactor** ([`gateway`]) — the serve crate's event-driven
-//!   front end, re-instantiated for HTTP: one thread multiplexes every
-//!   client connection ([`lca_serve::sys`]), a bounded worker pool
-//!   ([`lca_serve::pool`]) does the blocking backend round trips, and
-//!   per-connection sequencing keeps HTTP/1.1 pipelined responses in
-//!   request order.
+//! * **Gateway** ([`gateway`]) — the HTTP/1.1 codec and route table for
+//!   [`lca_serve::reactor`], the event loop `lca-serve` itself runs; a
+//!   bounded worker pool ([`lca_serve::pool`]) does the blocking backend
+//!   round trips, and one request in flight per connection keeps HTTP/1.1
+//!   pipelined responses in request order.
 //! * **MCP adapter** ([`mcp`]) — `lca_query`/`lca_stats` tools over
 //!   newline JSON-RPC stdio, for MCP hosts.
 //!

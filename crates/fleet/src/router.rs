@@ -319,6 +319,14 @@ impl Fleet {
     /// the fleet rollup (counter sums; cache totals summed with the
     /// `CacheStats` addition built for exactly this).
     pub fn stats(&self) -> FleetReply {
+        let mut body = String::new();
+        Json::Obj(self.rollup()).render(&mut body);
+        FleetReply { status: 200, body }
+    }
+
+    /// The fields of [`Fleet::stats`]'s body: `fleet` (the rollup) and
+    /// `backends` (the per-member snapshots).
+    pub(crate) fn rollup(&self) -> Vec<(String, Json)> {
         let results = self.fan_out("{\"op\":\"stats\"}");
         let mut backends_up = 0usize;
         let mut requests = 0u64;
@@ -431,13 +439,10 @@ impl Fleet {
             ("spec_cache_entries".to_owned(), num(spec_entries)),
             ("spec_cache_evictions".to_owned(), num(spec_evictions)),
         ]);
-        let mut body = String::new();
-        Json::Obj(vec![
+        vec![
             ("fleet".to_owned(), fleet),
             ("backends".to_owned(), Json::Arr(per_backend)),
-        ])
-        .render(&mut body);
-        FleetReply { status: 200, body }
+        ]
     }
 
     /// The `GET /v1/sessions` reply: one namespace view merging every

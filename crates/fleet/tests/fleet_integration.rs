@@ -13,7 +13,7 @@
 //!   shard keeps answering.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,6 +79,11 @@ impl HttpClient {
             body.len()
         )
         .expect("write request");
+        self.read_response()
+    }
+
+    /// Reads one response off the connection: status and parsed body.
+    fn read_response(&mut self) -> (u16, Json) {
         let mut status_line = String::new();
         self.reader
             .read_line(&mut status_line)
@@ -353,4 +358,63 @@ fn a_dead_backend_fails_typed_while_other_shards_keep_serving() {
     stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     drop(stream);
     h0.join().expect("backend 0 drains");
+}
+
+#[test]
+fn pipelined_requests_before_a_half_close_are_all_answered_in_order() {
+    const K: u64 = 8;
+    let (addr0, h0, _b0) = spawn_backend("b0");
+    let (gw_addr, gw_handle) = spawn_gateway(vec![addr0.clone()]);
+
+    // K queries in one write, then the client half-closes: it will send
+    // nothing more but still reads. HTTP/1.1 owes it K responses, in
+    // request order, before the gateway may hang up.
+    let mut client = HttpClient::connect(&gw_addr);
+    let mut burst = String::new();
+    for id in 0..K {
+        let body = spec_query(id, "pipelined", id);
+        burst.push_str(&format!(
+            "POST /v1/query HTTP/1.1\r\nHost: lca\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ));
+    }
+    client
+        .writer
+        .write_all(burst.as_bytes())
+        .expect("write burst");
+    client.writer.shutdown(Shutdown::Write).expect("half-close");
+    for id in 0..K {
+        let (status, response) = client.read_response();
+        assert_eq!(status, 200, "{response:?}");
+        assert_eq!(
+            response.get("id").and_then(Json::as_u64),
+            Some(id),
+            "responses out of request order: {response:?}"
+        );
+    }
+    let mut rest = Vec::new();
+    client.reader.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "more than {K} responses: {rest:?}");
+
+    // The gateway reports its reactor counters: one write syscall per
+    // response on this sequential traffic.
+    let mut admin = HttpClient::connect(&gw_addr);
+    let (status, stats) = admin.request("GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats:?}");
+    let gateway = stats.get("gateway").expect("gateway block in the rollup");
+    let field = |k: &str| gateway.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
+    assert!(field("responses") >= K as f64, "{gateway:?}");
+    assert!(field("write_syscalls") >= 1.0, "{gateway:?}");
+    assert!(field("bytes_written") > 0.0, "{gateway:?}");
+    assert!(field("completions_delivered") >= K as f64, "{gateway:?}");
+    assert_eq!(field("connections_open"), 1.0, "{gateway:?}");
+    let per_response = field("syscalls_per_response");
+    assert!(per_response > 0.0 && per_response <= 1.0, "{gateway:?}");
+
+    admin.request("POST", "/v1/shutdown", "");
+    gw_handle.join().expect("gateway drains");
+    let mut stream = TcpStream::connect(&addr0).expect("backend still up");
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    drop(stream);
+    h0.join().expect("backend drains");
 }

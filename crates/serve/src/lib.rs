@@ -18,7 +18,8 @@
 //!   a readiness loop (epoll on Linux via a thin `extern "C"` layer, a
 //!   portable poll-with-timeout sweep elsewhere). No per-connection
 //!   threads at any load; thousands of open connections cost buffers, not
-//!   stacks.
+//!   stacks. The wire format is a [`reactor::Codec`]: newline-JSON here,
+//!   HTTP/1.1 in `lca-fleet`'s gateway.
 //! * **Admission** ([`pool`]) — a fixed worker pool behind a bounded queue;
 //!   a full queue answers `overloaded` instead of buffering unboundedly.
 //!   Workers return responses to the reactor through a completion queue
@@ -56,7 +57,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod pool;
 pub mod proto;
-pub(crate) mod reactor;
+pub mod reactor;
 pub mod server;
 pub mod session;
 pub mod sys;

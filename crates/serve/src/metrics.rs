@@ -339,7 +339,7 @@ pub struct GlobalSnapshot {
 pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json {
     let uptime_s = global.started.elapsed().as_secs_f64();
     let requests = global.requests.load(Ordering::Relaxed);
-    Json::Obj(vec![
+    let mut fields = vec![
         ("version".into(), num(crate::proto::PROTOCOL_VERSION)),
         ("backend_id".into(), Json::Str(snap.backend_id.clone())),
         ("uptime_s".into(), Json::Num(uptime_s)),
@@ -372,44 +372,9 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
             "connections".into(),
             num(global.connections.load(Ordering::Relaxed)),
         ),
-        (
-            "connections_open".into(),
-            num(global.connections_open.load(Ordering::Relaxed)),
-        ),
-        (
-            "reactor_wakeups".into(),
-            num(global.reactor_wakeups.load(Ordering::Relaxed)),
-        ),
-        (
-            "completions_delivered".into(),
-            num(global.completions_delivered.load(Ordering::Relaxed)),
-        ),
-        (
-            "write_syscalls".into(),
-            num(global.write_syscalls.load(Ordering::Relaxed)),
-        ),
-        (
-            "responses".into(),
-            num(global.responses.load(Ordering::Relaxed)),
-        ),
-        (
-            "bytes_written".into(),
-            num(global.bytes_written.load(Ordering::Relaxed)),
-        ),
-        (
-            "completions_per_wake".into(),
-            Json::Num(ratio(
-                global.completions_delivered.load(Ordering::Relaxed),
-                global.reactor_wakeups.load(Ordering::Relaxed),
-            )),
-        ),
-        (
-            "syscalls_per_response".into(),
-            Json::Num(ratio(
-                global.write_syscalls.load(Ordering::Relaxed),
-                global.responses.load(Ordering::Relaxed),
-            )),
-        ),
+    ];
+    fields.extend(reactor_stats_fields(global));
+    fields.extend([
         (
             "stats_renders".into(),
             num(global.stats_renders.load(Ordering::Relaxed)),
@@ -436,7 +401,40 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
             }),
         ),
         ("draining".into(), Json::Bool(snap.draining)),
-    ])
+    ]);
+    Json::Obj(fields)
+}
+
+/// The reactor's counters as `stats` fields: the connection gauge, wakes
+/// and completions, and the write path. `lca-serve` inlines them in its
+/// global stats; `lca-gateway` reports them as its `gateway` block.
+pub fn reactor_stats_fields(global: &GlobalMetrics) -> Vec<(String, Json)> {
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    vec![
+        (
+            "connections_open".into(),
+            num(load(&global.connections_open)),
+        ),
+        ("reactor_wakeups".into(), num(load(&global.reactor_wakeups))),
+        (
+            "completions_delivered".into(),
+            num(load(&global.completions_delivered)),
+        ),
+        ("write_syscalls".into(), num(load(&global.write_syscalls))),
+        ("responses".into(), num(load(&global.responses))),
+        ("bytes_written".into(), num(load(&global.bytes_written))),
+        (
+            "completions_per_wake".into(),
+            Json::Num(ratio(
+                load(&global.completions_delivered),
+                load(&global.reactor_wakeups),
+            )),
+        ),
+        (
+            "syscalls_per_response".into(),
+            Json::Num(ratio(load(&global.write_syscalls), load(&global.responses))),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -1,32 +1,38 @@
-//! The event-driven front end: one thread, every connection.
+//! The event-driven front end: one thread, every connection, any codec.
 //!
 //! The reactor multiplexes thousands of nonblocking `TcpStream`s over the
 //! readiness loop in [`crate::sys`] (epoll on Linux, a portable sweep
 //! elsewhere). Each connection is a small state machine owning its read
-//! buffer (incremental newline framing), its write buffer (responses wait
-//! here, never on a worker), and a count of in-flight pool jobs. The
-//! worker pool stays the execution tier: the reactor admits query work via
-//! [`crate::server::Server::handle_line`], and workers hand finished
-//! responses back through the [`Completions`] queue plus a wake pipe —
+//! buffer, its write queue (responses wait here, never on a worker), and a
+//! count of in-flight pool jobs. The worker pool stays the execution tier:
+//! the reactor hands each framed request to its [`Codec`], and workers hand
+//! finished replies back through a completion queue plus a wake pipe —
 //! the only two points where the two tiers touch.
 //!
 //! ```text
-//!  sockets ──readiness──► reactor ──framing──► dispatch ──admit──► pool
-//!     ▲                      ▲                (inline ops answered     │
-//!     │                      │                 straight to write buf)  │
-//!     └──────write bufs──────┴──── completion queue + wake pipe ◄─────┘
+//!  sockets ──readiness──► reactor ──Codec::frame──► Codec::handle ──admit──► pool
+//!     ▲                      ▲                     (inline replies go        │
+//!     │                      │                      straight to the queue)   │
+//!     └──────write queues────┴──── completion queue + wake pipe ◄───────────┘
 //! ```
+//!
+//! Everything that differs between front ends sits behind [`Codec`]:
+//! framing, per-connection codec state, dispatch, rendering, and how many
+//! requests one connection may have in flight. `lca-serve` runs the
+//! newline-JSON codec ([`crate::server::Server`]); `lca-gateway` runs an
+//! HTTP/1.1 codec over the same loop.
 //!
 //! Invariants the tests lean on:
 //!
 //! * **No worker ever blocks on a socket.** Delivery is a queue push plus
-//!   a wake; a stalled client just grows its own write buffer (bounded —
-//!   past [`MAX_WRITE_BUFFER`] the connection is dropped).
-//! * **One response per request line**, whether inline or deferred, until
-//!   the peer goes away.
+//!   a wake; a stalled client just grows its own write queue (bounded —
+//!   past `MAX_WRITE_BUFFER` the connection is dropped).
+//! * **One response per request**, whether inline or deferred, until the
+//!   peer goes away. A peer that half-closes still gets every request it
+//!   sent before its EOF answered.
 //! * **Drain flushes.** After a shutdown request the reactor stops
 //!   accepting, keeps servicing readiness until every admitted job has
-//!   delivered and every write buffer is empty, then closes and returns.
+//!   delivered and every write queue is empty, then closes and returns.
 
 #![warn(clippy::unwrap_used)]
 use std::collections::VecDeque;
@@ -37,22 +43,17 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::proto::{FrameFormat, Response};
-use crate::server::{LineOutcome, Server};
+use crate::metrics::GlobalMetrics;
 use crate::sys::{self, Event, Poller, Waker};
 
 /// Registration token of the listener (connection tokens never reach it:
 /// they encode a slab index in the low 32 bits and a generation above).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// A connection whose write buffer exceeds this is not reading its
+/// A connection whose write queue exceeds this is not reading its
 /// responses; it is dropped rather than allowed to hold server memory
 /// hostage (the bounded-everything rule, applied to the write side).
 const MAX_WRITE_BUFFER: usize = 16 << 20;
-
-/// A single request line longer than this is answered with nothing and the
-/// connection dropped — no legitimate request is 16 MiB.
-const MAX_LINE: usize = 16 << 20;
 
 /// How long one `wait` may block: the upper bound on drain-progress and
 /// lost-wake recovery latency, not on response latency (completions wake
@@ -64,12 +65,90 @@ const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 /// this; one that has stopped reading (or silently vanished — a TCP
 /// half-open never becomes writable) would otherwise pin the drain loop
 /// forever. Past the grace period its connection is dropped so shutdown
-/// always terminates, matching the old thread-per-connection front end's
-/// bounded drain.
+/// always terminates.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Worker→reactor handoff: finished responses parked until the reactor
-/// flushes them into per-connection write buffers.
+/// One front end's wire format and request handling: everything the
+/// reactor does not share between front ends.
+pub trait Codec {
+    /// Requests one connection may have in flight at once. Once a
+    /// connection reaches it, framing pauses (later bytes wait in the read
+    /// buffer) until a reply delivers. `usize::MAX` when clients match
+    /// replies by id; 1 keeps replies in request order.
+    const MAX_IN_FLIGHT: usize;
+    /// A connection buffering more unframed bytes than this is dropped
+    /// without an answer — no legitimate request is that large.
+    const MAX_BUFFERED: usize;
+    /// Per-connection codec state (negotiated framing, a scan cursor).
+    type State: Default;
+    /// One framed request.
+    type Request;
+    /// One reply, produced inline or on a worker; rendered to bytes on the
+    /// reactor thread in the connection's current framing.
+    type Reply: Send + 'static;
+
+    /// The counters the reactor keeps: connection gauges, wakes,
+    /// completions, write syscalls, responses and bytes written.
+    fn metrics(&self) -> &GlobalMetrics;
+
+    /// `true` once a drain has begun: accepting stops and the reactor
+    /// returns when every connection owes nothing.
+    fn draining(&self) -> bool;
+
+    /// Frames one request off the front of `buf`, removing its bytes.
+    /// `eof` says the peer will send nothing more.
+    fn frame(&self, state: &mut Self::State, buf: &mut Vec<u8>, eof: bool)
+        -> Framed<Self::Request>;
+
+    /// Answers `request` inline, or admits it to a worker that answers
+    /// through `reply` ([`Dispatch::Deferred`] — exactly one send).
+    fn handle(
+        self: &Arc<Self>,
+        request: Self::Request,
+        reply: ReplyTo<Self::Reply>,
+    ) -> Dispatch<Self::Reply>;
+
+    /// Renders `reply` as one wire unit in the connection's current
+    /// framing (which the reply itself may switch, e.g. a `hello` ack).
+    fn render(&self, state: &mut Self::State, reply: &Self::Reply) -> Vec<u8>;
+}
+
+/// What one [`Codec::frame`] attempt produced.
+pub enum Framed<R> {
+    /// One complete request; its bytes are gone from the buffer.
+    Request(R),
+    /// The buffer holds no complete request yet.
+    Incomplete,
+    /// The stream cannot be framed past this point: send these bytes, then
+    /// close the connection once they have flushed.
+    Reject(Vec<u8>),
+}
+
+/// What one [`Codec::handle`] call did with its request.
+pub enum Dispatch<R> {
+    /// Answered on the reactor thread.
+    Inline(R),
+    /// Admitted to a worker, which sends the reply through [`ReplyTo`].
+    Deferred,
+    /// Nothing is owed (an empty line).
+    Ignored,
+}
+
+/// A worker's handle for delivering one deferred reply to its connection.
+pub struct ReplyTo<R> {
+    completions: Arc<Completions<R>>,
+    token: u64,
+}
+
+impl<R> ReplyTo<R> {
+    /// Parks `reply` for the reactor and wakes it; never blocks on I/O.
+    pub fn send(self, reply: R) {
+        self.completions.push(self.token, reply);
+    }
+}
+
+/// Worker→reactor handoff: finished replies parked until the reactor
+/// stages them into per-connection write queues.
 ///
 /// Wakes are **coalesced**: a push only writes the wake pipe when the
 /// queue transitions empty → nonempty. While the queue is nonempty a wake
@@ -78,23 +157,20 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// `write(2)` each — under fan-in load many responses land per reactor
 /// wakeup, which is exactly what the `reactor_wakeups`-per-response ratio
 /// in `stats` witnesses (well below 1.0 when batching works).
-pub(crate) struct Completions {
-    queue: Mutex<Vec<(u64, Response)>>,
+struct Completions<R> {
+    queue: Mutex<Vec<(u64, R)>>,
     waker: Waker,
     /// Wake-pipe writes actually issued (tests pin the coalescing here).
     wakes_issued: std::sync::atomic::AtomicU64,
 }
 
-impl Completions {
-    /// Parks a finished response for `token`'s connection and wakes the
-    /// reactor iff no wake is already pending. Called from pool workers;
-    /// never blocks on I/O.
-    fn push(&self, token: u64, response: Response) {
+impl<R> Completions<R> {
+    fn push(&self, token: u64, reply: R) {
         let was_empty = {
             // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
             let mut queue = self.queue.lock().expect("completion queue poisoned");
             let was_empty = queue.is_empty();
-            queue.push((token, response));
+            queue.push((token, reply));
             was_empty
         };
         if was_empty {
@@ -103,20 +179,20 @@ impl Completions {
         }
     }
 
-    fn drain(&self) -> Vec<(u64, Response)> {
+    fn drain(&self) -> Vec<(u64, R)> {
         // lint:allow(panic) — poisoned queue means a worker already panicked; propagate
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 }
 
 /// One connection's state machine.
-struct Conn {
+struct Conn<S> {
     stream: TcpStream,
-    /// Bytes read but not yet framed into a complete line.
+    /// Bytes read but not yet framed into a complete request.
     read_buf: Vec<u8>,
-    /// Rendered wire units (newline-JSON lines or binary frames) awaiting
-    /// socket space, oldest first. Kept as separate buffers so a flush can
-    /// gather many of them into one `writev` without copying.
+    /// Rendered wire units awaiting socket space, oldest first. Kept as
+    /// separate buffers so a flush can gather many of them into one
+    /// `writev` without copying.
     write_queue: VecDeque<Vec<u8>>,
     /// Bytes of the front `write_queue` entry already accepted by the
     /// kernel (a previous short write stopped mid-unit).
@@ -124,32 +200,22 @@ struct Conn {
     /// Unsent bytes across the whole queue (`write_queue` total minus
     /// `write_head`) — the buffer-cap and "owes nothing" bookkeeping.
     queued_bytes: usize,
-    /// Response framing negotiated for this connection (`hello`); starts
-    /// as newline-JSON.
-    frame: FrameFormat,
-    /// Pool jobs admitted for this connection whose responses have not yet
+    /// The codec's per-connection state.
+    state: S,
+    /// Pool jobs admitted for this connection whose replies have not yet
     /// been delivered to `write_queue`.
     pending: usize,
-    /// The peer half-closed its write side (EOF seen); we still flush what
-    /// we owe, then close.
+    /// The peer half-closed its write side (EOF seen); we still answer
+    /// what it sent and flush what we owe, then close.
     peer_closed: bool,
+    /// Close once the write queue flushes (after a framing rejection).
+    close_after_flush: bool,
     /// Whether the poller currently watches this fd for write readiness.
     want_write: bool,
 }
 
-impl Conn {
-    /// Renders `response` in the connection's negotiated framing and
-    /// queues it for flushing. Rendering happens exactly once, here — the
-    /// flush path only ever gathers byte slices.
-    fn enqueue(&mut self, response: &Response) {
-        let unit = match self.frame {
-            FrameFormat::Json => {
-                let mut bytes = response.render().into_bytes();
-                bytes.push(b'\n');
-                bytes
-            }
-            FrameFormat::Binary => response.encode_frame(),
-        };
+impl<S> Conn<S> {
+    fn enqueue(&mut self, unit: Vec<u8>) {
         self.queued_bytes += unit.len();
         self.write_queue.push_back(unit);
     }
@@ -177,9 +243,9 @@ fn advance_write_queue(queue: &mut VecDeque<Vec<u8>>, head: &mut usize, mut writ
     }
 }
 
-struct Slot {
+struct Slot<S> {
     gen: u32,
-    conn: Option<Conn>,
+    conn: Option<Conn<S>>,
 }
 
 fn token_of(idx: usize, gen: u32) -> u64 {
@@ -190,14 +256,13 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & u32::MAX as u64) as usize, (token >> 32) as u32)
 }
 
-/// The reactor; see the module docs. Constructed and run by
-/// [`Server::serve`].
-pub(crate) struct Reactor {
-    server: Arc<Server>,
+/// The reactor; see the module docs. Run with [`Reactor::run`].
+pub struct Reactor<C: Codec> {
+    codec: Arc<C>,
     poller: Poller,
     listener: Option<TcpListener>,
-    completions: Arc<Completions>,
-    slots: Vec<Slot>,
+    completions: Arc<Completions<C::Reply>>,
+    slots: Vec<Slot<C::State>>,
     free: Vec<usize>,
     /// Pool jobs admitted and not yet completed, across all connections
     /// (including ones whose connection died while the job ran).
@@ -209,11 +274,11 @@ pub(crate) struct Reactor {
     drain_started: Option<std::time::Instant>,
 }
 
-impl Reactor {
+impl<C: Codec> Reactor<C> {
     /// Builds a reactor around a bound listener (made nonblocking and
     /// registered here). Split from [`Reactor::run`] so tests can drive
     /// the pieces — accept, completion delivery, flush — by hand.
-    pub(crate) fn new(server: Arc<Server>, listener: TcpListener) -> io::Result<Reactor> {
+    pub(crate) fn new(codec: Arc<C>, listener: TcpListener) -> io::Result<Reactor<C>> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, false)?;
@@ -223,7 +288,7 @@ impl Reactor {
             wakes_issued: std::sync::atomic::AtomicU64::new(0),
         });
         Ok(Reactor {
-            server,
+            codec,
             poller,
             listener: Some(listener),
             completions,
@@ -235,10 +300,10 @@ impl Reactor {
         })
     }
 
-    /// Runs the serve loop to drain completion. The listener is consumed;
-    /// the pool is left running (the caller shuts it down).
-    pub(crate) fn run(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
-        let mut reactor = Reactor::new(server, listener)?;
+    /// Serves `listener` with `codec` until a drain completes. The
+    /// listener is consumed; the caller shuts its worker pool down.
+    pub fn run(codec: Arc<C>, listener: TcpListener) -> io::Result<()> {
+        let mut reactor = Reactor::new(codec, listener)?;
         let result = reactor.event_loop();
         // Whatever remains (error paths): close sockets before returning so
         // clients see EOF rather than a dead peer.
@@ -248,17 +313,20 @@ impl Reactor {
         result
     }
 
+    fn metrics(&self) -> &GlobalMetrics {
+        self.codec.metrics()
+    }
+
     fn event_loop(&mut self) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let woken = self.poller.wait(&mut events, WAIT_TIMEOUT)?;
             if woken {
-                self.server
-                    .global
+                self.metrics()
                     .reactor_wakeups
                     .fetch_add(1, Ordering::Relaxed);
             }
-            // Deliver finished responses first so this iteration's write
+            // Deliver finished replies first so this iteration's write
             // readiness can flush them immediately.
             self.deliver_completions();
             // `events` is a local buffer, disjoint from `self`, so the
@@ -276,14 +344,14 @@ impl Reactor {
             // instead of waiting for the wake to be observed next
             // iteration — one drain's worth of latency saved per loop.
             self.deliver_completions();
-            if self.server.draining() {
+            if self.codec.draining() {
                 self.stop_accepting();
                 let drain_started = *self
                     .drain_started
                     .get_or_insert_with(std::time::Instant::now);
                 // Close every connection that owes nothing; past the grace
-                // period, also ones whose responses are all *delivered*
-                // but sit unread in the write buffer (a peer that stopped
+                // period, also ones whose replies are all *delivered* but
+                // sit unread in the write queue (a peer that stopped
                 // reading, or a half-open that will never become writable,
                 // must not pin the drain forever). A connection still
                 // waiting on an in-flight job is never abandoned — its
@@ -301,7 +369,6 @@ impl Reactor {
                     }
                 }
                 if self.open == 0 && self.in_flight == 0 {
-                    self.deliver_completions(); // nothing lands: queue is empty once in_flight is 0
                     return Ok(());
                 }
             }
@@ -323,7 +390,7 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.server.draining() {
+                    if self.codec.draining() {
                         continue; // accepted in the race window: just close
                     }
                     self.register_conn(stream);
@@ -343,8 +410,8 @@ impl Reactor {
     }
 
     fn register_conn(&mut self, stream: TcpStream) {
-        // Responses are single small lines: Nagle would hold each one back
-        // ~40ms against the client's delayed ACK.
+        // Responses are small: Nagle would hold each one back ~40ms
+        // against the client's delayed ACK.
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -376,22 +443,18 @@ impl Reactor {
             write_queue: VecDeque::new(),
             write_head: 0,
             queued_bytes: 0,
-            frame: FrameFormat::Json,
+            state: C::State::default(),
             pending: 0,
             peer_closed: false,
+            close_after_flush: false,
             want_write: false,
         });
         self.open += 1;
-        self.server
-            .global
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
-        self.server
-            .global
-            .connections_open
-            .fetch_add(1, Ordering::Relaxed);
+        let metrics = self.metrics();
+        metrics.connections.fetch_add(1, Ordering::Relaxed);
+        metrics.connections_open.fetch_add(1, Ordering::Relaxed);
         // The gauges feed the stats snapshot; invalidate the cached render.
-        self.server.global.mark_mutation();
+        metrics.mark_mutation();
     }
 
     fn close_conn(&mut self, idx: usize) {
@@ -406,11 +469,9 @@ impl Reactor {
         let _ = self.poller.deregister(conn.stream.as_raw_fd(), token);
         self.free.push(idx);
         self.open -= 1;
-        self.server
-            .global
-            .connections_open
-            .fetch_sub(1, Ordering::Relaxed);
-        self.server.global.mark_mutation();
+        let metrics = self.metrics();
+        metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+        metrics.mark_mutation();
         // `conn.stream` drops here, closing the socket. Any still-running
         // job for this connection delivers into the completion queue and is
         // discarded there (stale generation).
@@ -428,12 +489,12 @@ impl Reactor {
 
     /// The live connection at `idx`, if any — an already-closed slot (a
     /// dispatch or flush raced a close) is `None`, never a panic.
-    fn conn_ref(&self, idx: usize) -> Option<&Conn> {
+    fn conn_ref(&self, idx: usize) -> Option<&Conn<C::State>> {
         self.slots.get(idx).and_then(|slot| slot.conn.as_ref())
     }
 
     /// Mutable variant of [`Reactor::conn_ref`].
-    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn> {
+    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn<C::State>> {
         self.slots.get_mut(idx).and_then(|slot| slot.conn.as_mut())
     }
 
@@ -442,7 +503,17 @@ impl Reactor {
         self.slots.get(idx).map(|slot| token_of(idx, slot.gen))
     }
 
-    /// Drains the whole completion queue in one pass: every response is
+    /// Renders `reply` in the connection's framing and queues it.
+    fn stage(&mut self, idx: usize, reply: &C::Reply) {
+        let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
+            return;
+        };
+        let unit = self.codec.render(&mut conn.state, reply);
+        conn.enqueue(unit);
+        self.metrics().responses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drains the whole completion queue in one pass: every reply is
     /// staged into its connection's write queue first, then each touched
     /// connection is flushed exactly once — N completions for one
     /// connection cost one `writev`, not N `write`s.
@@ -451,12 +522,11 @@ impl Reactor {
         if batch.is_empty() {
             return;
         }
-        self.server
-            .global
+        self.metrics()
             .completions_delivered
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut touched: Vec<usize> = Vec::with_capacity(batch.len());
-        for (token, response) in batch {
+        for (token, reply) in batch {
             self.in_flight -= 1;
             let Some(idx) = self.live(token) else {
                 continue;
@@ -465,15 +535,20 @@ impl Reactor {
                 continue;
             };
             conn.pending -= 1;
-            conn.enqueue(&response);
-            self.server.global.responses.fetch_add(1, Ordering::Relaxed);
+            self.stage(idx, &reply);
             touched.push(idx);
         }
         touched.sort_unstable();
         touched.dedup();
         for idx in touched {
-            // flush_conn is a no-op on a slot something above closed.
+            // A connection paused at its in-flight limit frames what it
+            // buffered meanwhile, so those replies join this flush.
+            if matches!(self.conn_ref(idx), Some(c) if !c.read_buf.is_empty()) {
+                self.process_buffer(idx);
+            }
+            // Both are no-ops on a slot something above closed.
             self.flush_conn(idx);
+            self.maybe_close_finished(idx);
         }
     }
 
@@ -486,16 +561,17 @@ impl Reactor {
         }
         if ev.writable && self.conn_ref(idx).is_some() {
             self.flush_conn(idx);
+            self.maybe_close_finished(idx);
         }
     }
 
-    /// Reads whatever the socket has, frames complete lines, dispatches
-    /// each. EOF with a final unterminated line still dispatches it —
-    /// stdio mode would serve it, TCP must too.
+    /// Reads whatever the socket has, framing and dispatching requests
+    /// after each chunk so the read buffer only ever holds one partial
+    /// request (plus whatever a connection at its in-flight limit has
+    /// buffered). Inline replies pile up in the write queue and are
+    /// flushed together at the end, so a pipelined burst of K requests
+    /// costs one gather-write, not K writes.
     fn read_ready(&mut self, idx: usize) {
-        let Some(token) = self.token_at(idx) else {
-            return;
-        };
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let Some(conn) = self.conn_mut(idx) else {
@@ -504,45 +580,17 @@ impl Reactor {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.peer_closed = true;
-                    if !conn.read_buf.is_empty() {
-                        let line = std::mem::take(&mut conn.read_buf);
-                        self.dispatch_line(idx, token, &line);
-                    }
+                    self.process_buffer(idx);
                     break;
                 }
                 Ok(k) => {
                     conn.read_buf
                         .extend_from_slice(chunk.get(..k).unwrap_or(&[]));
-                    if conn.read_buf.len() > MAX_LINE {
+                    if conn.read_buf.len() > C::MAX_BUFFERED {
                         self.close_conn(idx);
                         return;
                     }
-                    // Frame and dispatch every complete line we now hold.
-                    // Inline responses pile up in the write queue; they are
-                    // flushed together below, so a pipelined burst of K
-                    // requests costs one gather-write, not K writes.
-                    loop {
-                        let Some(conn) = self.conn_mut(idx) else {
-                            return;
-                        };
-                        let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                            break;
-                        };
-                        let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                        self.dispatch_line(idx, token, &line);
-                        match self.conn_ref(idx) {
-                            None => return, // dispatch closed the connection
-                            // A pipelined flood must not stage unboundedly
-                            // between flushes: shed pressure mid-batch.
-                            Some(c) if c.queued_bytes > MAX_WRITE_BUFFER => {
-                                self.flush_conn(idx);
-                                if self.conn_ref(idx).is_none() {
-                                    return;
-                                }
-                            }
-                            Some(_) => {}
-                        }
-                    }
+                    self.process_buffer(idx);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -555,41 +603,55 @@ impl Reactor {
         // One coalesced flush for everything this readiness event staged.
         if matches!(self.conn_ref(idx), Some(c) if c.queued_bytes > 0) {
             self.flush_conn(idx);
-            if self.conn_ref(idx).is_none() {
-                return;
-            }
         }
-        // EOF: the peer cannot send more requests. Close as soon as every
-        // owed response has flushed (checked again on each completion).
         self.maybe_close_finished(idx);
     }
 
-    fn dispatch_line(&mut self, idx: usize, token: u64, raw: &[u8]) {
-        let completions = self.completions.clone();
-        let outcome = self
-            .server
-            .clone()
-            .handle_raw_line(raw, move |response| completions.push(token, response));
-        match outcome {
-            LineOutcome::Inline(response) => {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
-                };
-                conn.enqueue(&response);
-                self.server.global.responses.fetch_add(1, Ordering::Relaxed);
+    /// Frames and dispatches buffered requests until the buffer holds no
+    /// complete request, the connection reaches its in-flight limit, or it
+    /// dies.
+    fn process_buffer(&mut self, idx: usize) {
+        loop {
+            let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
+                return;
+            };
+            if conn.pending >= C::MAX_IN_FLIGHT || conn.close_after_flush {
+                return;
             }
-            LineOutcome::Hello(format) => {
-                // STARTTLS convention: acknowledge in the *current*
-                // framing, then switch — the client reads one response in
-                // the old framing and everything after in the new one.
-                let Some(conn) = self.conn_mut(idx) else {
+            match self
+                .codec
+                .frame(&mut conn.state, &mut conn.read_buf, conn.peer_closed)
+            {
+                Framed::Incomplete => return,
+                Framed::Reject(unit) => {
+                    conn.enqueue(unit);
+                    conn.close_after_flush = true;
+                    self.metrics().responses.fetch_add(1, Ordering::Relaxed);
                     return;
-                };
-                conn.enqueue(&Response::Hello { frame: format });
-                conn.frame = format;
-                self.server.global.responses.fetch_add(1, Ordering::Relaxed);
+                }
+                Framed::Request(request) => self.dispatch(idx, request),
             }
-            LineOutcome::Deferred => {
+            match self.conn_ref(idx) {
+                None => return,
+                // A pipelined flood must not stage unboundedly between
+                // flushes: shed pressure mid-batch.
+                Some(c) if c.queued_bytes > MAX_WRITE_BUFFER => self.flush_conn(idx),
+                Some(_) => {}
+            }
+        }
+    }
+
+    fn dispatch(&mut self, idx: usize, request: C::Request) {
+        let Some(token) = self.token_at(idx) else {
+            return;
+        };
+        let reply = ReplyTo {
+            completions: self.completions.clone(),
+            token,
+        };
+        match C::handle(&self.codec, request, reply) {
+            Dispatch::Inline(reply) => self.stage(idx, &reply),
+            Dispatch::Deferred => {
                 // Count in_flight unconditionally: the job was handed to the
                 // pool and its completion will be drained either way.
                 self.in_flight += 1;
@@ -597,20 +659,20 @@ impl Reactor {
                     conn.pending += 1;
                 }
             }
-            LineOutcome::Ignored => {}
+            Dispatch::Ignored => {}
         }
     }
 
     /// Writes as much of the connection's queue as the socket accepts —
     /// gathering up to [`sys::MAX_IOVECS`] queued units per `writev` —
     /// maintains write-readiness interest, enforces the buffer cap, and
-    /// closes once a finished connection owes nothing.
+    /// closes a rejected connection once its last bytes are out.
     ///
     /// Accounting is exact per syscall: `bytes_written` grows by precisely
     /// the syscall's return value and the queue advances by the same
     /// amount, so short writes never over- or under-report.
     fn flush_conn(&mut self, idx: usize) {
-        let server = self.server.clone();
+        let metrics = self.codec.metrics();
         let mut close = false;
         let mut interest = None;
         let Some(slot) = self.slots.get_mut(idx) else {
@@ -635,17 +697,14 @@ impl Reactor {
                 bufs.push(unit);
                 gathered += unit.len();
             }
-            server.global.write_syscalls.fetch_add(1, Ordering::Relaxed);
+            metrics.write_syscalls.fetch_add(1, Ordering::Relaxed);
             match sys::write_vectored(&conn.stream, &bufs) {
                 Ok(0) => {
                     close = true;
                     break;
                 }
                 Ok(k) => {
-                    server
-                        .global
-                        .bytes_written
-                        .fetch_add(k as u64, Ordering::Relaxed);
+                    metrics.bytes_written.fetch_add(k as u64, Ordering::Relaxed);
                     advance_write_queue(&mut conn.write_queue, &mut conn.write_head, k);
                     conn.queued_bytes -= k;
                     if k < gathered {
@@ -666,6 +725,9 @@ impl Reactor {
             // The peer has stopped reading; it forfeits the connection.
             close = true;
         }
+        if conn.close_after_flush && conn.queued_bytes == 0 {
+            close = true;
+        }
         if !close {
             let needs_write = conn.queued_bytes > 0;
             if needs_write != conn.want_write {
@@ -682,10 +744,12 @@ impl Reactor {
                 .poller
                 .set_writable(fd, token_of(idx, gen), needs_write);
         }
-        self.maybe_close_finished(idx);
     }
 
     /// Closes a connection whose peer is gone and which owes nothing more.
+    /// Callers run it only after [`Reactor::process_buffer`] has had room
+    /// to frame, so "nothing in flight" also means no complete request is
+    /// left in the read buffer.
     fn maybe_close_finished(&mut self, idx: usize) {
         let done = matches!(
             self.conn_ref(idx),
@@ -701,6 +765,8 @@ impl Reactor {
 #[allow(clippy::unwrap_used)] // tests assert; unwrap IS the assertion
 mod tests {
     use super::*;
+    use crate::proto::Response;
+    use crate::server::Server;
 
     #[test]
     fn completion_pushes_coalesce_into_one_wake() {

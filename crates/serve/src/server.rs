@@ -3,19 +3,20 @@
 //! Two transports share this module's dispatch core:
 //!
 //! * **TCP** ([`Server::serve`]) — the event-driven reactor in
-//!   [`crate::reactor`]: one thread multiplexes every connection through a
-//!   readiness loop (epoll on Linux, a portable sweep elsewhere; see
-//!   [`crate::sys`]), and the bounded [`WorkerPool`] executes queries.
-//!   Workers never touch sockets — they hand finished responses back to
-//!   the reactor through its completion queue + wake pipe, so a stalled
-//!   client can never block a worker.
+//!   [`crate::reactor`], with [`Server`] as its newline-JSON codec: one
+//!   thread multiplexes every connection through a readiness loop (epoll
+//!   on Linux, a portable sweep elsewhere; see [`crate::sys`]), and the
+//!   bounded [`WorkerPool`] executes queries. Workers never touch sockets
+//!   — they hand finished responses back to the reactor through its
+//!   completion queue + wake pipe, so a stalled client can never block a
+//!   worker.
 //! * **stdio** ([`Server::serve_stdio`]) — a plain line loop, what the
 //!   integration tests and shell examples use.
 //!
-//! Dispatch itself ([`Server::handle_line`]) is sink-based: inline
-//! responses (ping/stats/shutdown, parse and session errors, backpressure)
-//! are returned to the caller, query work is admitted to the pool with a
-//! `deliver` callback the worker invokes when the response is ready.
+//! Dispatch itself is sink-based: inline responses (ping/stats/shutdown,
+//! `hello`, parse and session errors, backpressure) are returned to the
+//! caller, query work is admitted to the pool with a `deliver` callback
+//! the worker invokes when the response is ready.
 
 #![warn(clippy::unwrap_used)]
 use std::io::{self, Write};
@@ -30,7 +31,8 @@ use serde::Json;
 use crate::budget::BudgetPolicyConfig;
 use crate::metrics::{global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot};
 use crate::pool::{RejectReason, WorkerPool};
-use crate::proto::{ErrorCode, Request, Response};
+use crate::proto::{ErrorCode, FrameFormat, Request, Response};
+use crate::reactor::{Codec, Dispatch, Framed, ReplyTo};
 use crate::session::SessionRegistry;
 
 /// Sizing knobs for a [`Server`].
@@ -89,23 +91,6 @@ fn write_line(out: &SharedWriter, response: &Response) {
     // A vanished client is not a server error; drop the response.
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
-}
-
-/// What one request line turned into — the reactor and stdio loops route
-/// responses differently depending on which.
-pub(crate) enum LineOutcome {
-    /// Answered synchronously; the caller owns delivery.
-    Inline(Response),
-    /// Admitted to the worker pool; the `deliver` callback passed to
-    /// [`Server::handle_line`] fires with the response when a worker
-    /// finishes (exactly once).
-    Deferred,
-    /// A framing negotiation: the transport must acknowledge in its
-    /// *current* framing, then switch responses to the requested one. Only
-    /// the reactor can actually switch; stdio rejects `binary`.
-    Hello(crate::proto::FrameFormat),
-    /// An empty line: no response owed.
-    Ignored,
 }
 
 /// The serving daemon: session registry + worker pool + metrics.
@@ -267,40 +252,20 @@ impl Server {
         Response::Stats(Json::Obj(vec![("sessions".into(), Json::Obj(objs))]))
     }
 
-    /// Handles one raw wire line: non-UTF-8 is answered `bad-request`
-    /// without reaching the parser.
-    pub(crate) fn handle_raw_line(
-        self: &Arc<Self>,
-        raw: &[u8],
-        deliver: impl FnOnce(Response) + Send + 'static,
-    ) -> LineOutcome {
-        match std::str::from_utf8(raw) {
-            Ok(line) => self.handle_line(line, deliver),
-            Err(_) => {
-                self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
-                self.global.mark_mutation();
-                LineOutcome::Inline(Response::Error {
-                    id: None,
-                    code: ErrorCode::BadRequest,
-                    message: "request line is not UTF-8".to_owned(),
-                })
-            }
-        }
-    }
-
     /// Handles one request line. Control requests, errors, and
     /// backpressure are answered in the return value; query work is
     /// admitted to the pool and `deliver` fires from a worker with the
-    /// response ([`LineOutcome::Deferred`] — exactly one call, even if the
-    /// query panics).
-    pub(crate) fn handle_line(
+    /// response ([`Dispatch::Deferred`] — exactly one call, even if the
+    /// query panics). A `hello` is answered inline with its ack; the
+    /// transport decides whether it can switch framing.
+    fn handle_line(
         self: &Arc<Self>,
         line: &str,
         deliver: impl FnOnce(Response) + Send + 'static,
-    ) -> LineOutcome {
+    ) -> Dispatch<Response> {
         let line = line.trim();
         if line.is_empty() {
-            return LineOutcome::Ignored;
+            return Dispatch::Ignored;
         }
         let request = match Request::parse(line) {
             Ok(request) => {
@@ -310,21 +275,21 @@ impl Server {
             Err(e) => {
                 self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
                 self.global.mark_mutation();
-                return LineOutcome::Inline(e.response());
+                return Dispatch::Inline(e.response());
             }
         };
         match request {
-            Request::Ping => LineOutcome::Inline(Response::Ok {
+            Request::Ping => Dispatch::Inline(Response::Ok {
                 draining: self.draining(),
             }),
-            Request::Stats => LineOutcome::Inline(self.stats_response()),
-            Request::Sessions => LineOutcome::Inline(self.sessions_response()),
+            Request::Stats => Dispatch::Inline(self.stats_response()),
+            Request::Sessions => Dispatch::Inline(self.sessions_response()),
             Request::Shutdown => {
                 self.begin_shutdown();
                 self.global.mark_mutation();
-                LineOutcome::Inline(Response::Ok { draining: true })
+                Dispatch::Inline(Response::Ok { draining: true })
             }
-            Request::Hello { frame } => LineOutcome::Hello(frame),
+            Request::Hello { frame } => Dispatch::Inline(Response::Hello { frame }),
             Request::Query {
                 session,
                 spec,
@@ -340,7 +305,7 @@ impl Server {
                 // from the worker when the histograms are updated.
                 self.global.mark_mutation();
                 if self.draining() {
-                    return LineOutcome::Inline(Response::Error {
+                    return Dispatch::Inline(Response::Error {
                         id,
                         code: ErrorCode::Draining,
                         message: "server is draining".to_owned(),
@@ -349,7 +314,7 @@ impl Server {
                 let resolved = match self.registry.resolve(&session, spec) {
                     Ok(resolved) => resolved,
                     Err((code, message)) => {
-                        return LineOutcome::Inline(Response::Error { id, code, message })
+                        return Dispatch::Inline(Response::Error { id, code, message })
                     }
                 };
                 if let Some(policy) = budget_policy {
@@ -402,12 +367,12 @@ impl Server {
                     deliver(response);
                 });
                 match admitted {
-                    Ok(()) => LineOutcome::Deferred,
+                    Ok(()) => Dispatch::Deferred,
                     Err(RejectReason::Full) => {
                         self.global.overloaded.fetch_add(1, Ordering::Relaxed);
-                        LineOutcome::Inline(Response::overloaded(id))
+                        Dispatch::Inline(Response::overloaded(id))
                     }
-                    Err(RejectReason::ShuttingDown) => LineOutcome::Inline(Response::Error {
+                    Err(RejectReason::ShuttingDown) => Dispatch::Inline(Response::Error {
                         id,
                         code: ErrorCode::Draining,
                         message: "server is draining".to_owned(),
@@ -421,19 +386,13 @@ impl Server {
     /// transport): inline responses are written immediately, deferred ones
     /// when their worker finishes.
     pub fn dispatch(self: &Arc<Self>, line: &str, out: &SharedWriter) {
-        use crate::proto::FrameFormat;
         let deferred_out = out.clone();
         match self.handle_line(line, move |response| write_line(&deferred_out, &response)) {
-            LineOutcome::Inline(response) => write_line(out, &response),
             // stdio is a line transport: acknowledging `json` is a no-op,
             // but binary frames would corrupt the stream, so refuse.
-            LineOutcome::Hello(FrameFormat::Json) => write_line(
-                out,
-                &Response::Hello {
-                    frame: FrameFormat::Json,
-                },
-            ),
-            LineOutcome::Hello(FrameFormat::Binary) => write_line(
+            Dispatch::Inline(Response::Hello {
+                frame: FrameFormat::Binary,
+            }) => write_line(
                 out,
                 &Response::Error {
                     id: None,
@@ -441,7 +400,8 @@ impl Server {
                     message: "binary framing requires the TCP transport".to_owned(),
                 },
             ),
-            LineOutcome::Deferred | LineOutcome::Ignored => {}
+            Dispatch::Inline(response) => write_line(out, &response),
+            Dispatch::Deferred | Dispatch::Ignored => {}
         }
     }
 
@@ -482,4 +442,70 @@ impl Server {
 /// ephemeral port — read it back from `TcpListener::local_addr`).
 pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
+}
+
+/// The newline-JSON codec: one request line in, one response out in the
+/// connection's negotiated framing. Clients match responses by `id`, so a
+/// connection may have any number of queries in flight.
+impl Codec for Server {
+    const MAX_IN_FLIGHT: usize = usize::MAX;
+    /// No legitimate request line is 16 MiB.
+    const MAX_BUFFERED: usize = 16 << 20;
+    /// The response framing negotiated by `hello` (newline-JSON at first).
+    type State = FrameFormat;
+    type Request = Vec<u8>;
+    type Reply = Response;
+
+    fn metrics(&self) -> &GlobalMetrics {
+        &self.global
+    }
+
+    fn draining(&self) -> bool {
+        Server::draining(self)
+    }
+
+    /// Frames one `\n`-terminated line; at EOF a final unterminated line is
+    /// still served (stdio mode would serve it, TCP must too).
+    fn frame(&self, _: &mut FrameFormat, buf: &mut Vec<u8>, eof: bool) -> Framed<Vec<u8>> {
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(pos) => Framed::Request(buf.drain(..=pos).collect()),
+            None if eof && !buf.is_empty() => Framed::Request(std::mem::take(buf)),
+            None => Framed::Incomplete,
+        }
+    }
+
+    /// Non-UTF-8 is answered `bad-request` without reaching the parser.
+    fn handle(self: &Arc<Self>, raw: Vec<u8>, reply: ReplyTo<Response>) -> Dispatch<Response> {
+        match std::str::from_utf8(&raw) {
+            Ok(line) => self.handle_line(line, move |response| reply.send(response)),
+            Err(_) => {
+                self.global.parse_errors.fetch_add(1, Ordering::Relaxed);
+                self.global.mark_mutation();
+                Dispatch::Inline(Response::Error {
+                    id: None,
+                    code: ErrorCode::BadRequest,
+                    message: "request line is not UTF-8".to_owned(),
+                })
+            }
+        }
+    }
+
+    /// Rendering happens exactly once, here — the flush path only ever
+    /// gathers byte slices. A `hello` ack follows the STARTTLS convention:
+    /// it goes out in the *current* framing, and everything after it in
+    /// the new one.
+    fn render(&self, frame: &mut FrameFormat, response: &Response) -> Vec<u8> {
+        let unit = match frame {
+            FrameFormat::Json => {
+                let mut bytes = response.render().into_bytes();
+                bytes.push(b'\n');
+                bytes
+            }
+            FrameFormat::Binary => response.encode_frame(),
+        };
+        if let Response::Hello { frame: next } = response {
+            *frame = *next;
+        }
+        unit
+    }
 }
