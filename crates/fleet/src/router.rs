@@ -334,11 +334,7 @@ impl Fleet {
         let mut budget_exhausted = 0u64;
         let mut parse_errors = 0u64;
         let mut sessions = 0u64;
-        let mut cache_total = lca_probe::CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-        };
+        let mut cache_total = lca_probe::CacheStats::default();
         let mut adaptive_sessions = 0u64;
         let mut per_backend = Vec::new();
         for (idx, result) in results.into_iter().enumerate() {
@@ -364,6 +360,7 @@ impl Fleet {
                             hits: pick("cache_hits_total"),
                             misses: pick("cache_misses_total"),
                             entries: 0,
+                            bytes: pick("cache_bytes_total") as usize,
                         };
                     // Surface each backend's adaptively fitted budgets
                     // (session name → fitted max_probes) so a fleet
@@ -410,6 +407,10 @@ impl Fleet {
             ("sessions".to_owned(), num(sessions)),
             ("cache_hits_total".to_owned(), num(cache_total.hits)),
             ("cache_misses_total".to_owned(), num(cache_total.misses)),
+            (
+                "cache_bytes_total".to_owned(),
+                num(cache_total.bytes as u64),
+            ),
             (
                 "cache_hit_rate_total".to_owned(),
                 Json::Num(if cache_total.requests() == 0 {

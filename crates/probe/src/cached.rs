@@ -1,7 +1,7 @@
 //! The serving-layer input cache.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard};
 
 use lca_graph::VertexId;
@@ -11,16 +11,17 @@ use crate::Oracle;
 /// Default number of cache shards.
 const DEFAULT_SHARDS: usize = 16;
 
-/// Default byte budget of one shard's decoded-adjacency slab (lists admitted
-/// via [`Oracle::neighbors_into`]); 16 shards × 256 KiB = 4 MiB per cache.
+/// Default byte budget of one shard's list store; 16 shards × 256 KiB =
+/// 4 MiB per cache.
 const DEFAULT_SLAB_BYTES: usize = 256 * 1024;
 
-/// Accounted footprint of one slab entry: the `Vec` header + hash-map slot
-/// overhead, charged on top of the neighbor payload itself.
+/// Accounted footprint of one resident list: the `Box` header + hash-map
+/// slot + queue slot overhead, charged on top of the neighbor payload.
 const LIST_OVERHEAD_BYTES: usize = 48;
 
-/// An [`Oracle`] wrapper that caches answers **across queries**, sharded by
-/// vertex so concurrent `query_batch` workers rarely contend on one lock.
+/// An [`Oracle`] wrapper that caches whole adjacency lists **across
+/// queries**, sharded by vertex so concurrent `query_batch` workers rarely
+/// contend on one lock.
 ///
 /// This is serving-layer infrastructure, *not* part of the LCA model — and
 /// the distinction matters:
@@ -34,25 +35,21 @@ const LIST_OVERHEAD_BYTES: usize = 48;
 ///   remote store, a parsed file), the serving stack may cache its answers
 ///   across queries without changing any answer — probes are pure reads.
 ///   It never participates in probe accounting; put the
-///   [`crate::CountingOracle`] *inside* the cache to count only misses, or
-///   *outside* to count every logical probe.
+///   [`crate::CountingOracle`] *outside* the cache to count every logical
+///   probe.
 ///
-/// Two stores live behind each shard lock:
-///
-/// * **Point entries** — one cached probe each (`degree`, `neighbor`,
-///   `adjacency`), bounded by the per-shard entry cap. Eviction is *second
-///   chance*, not wholesale flush: each entry carries a referenced bit set
-///   on hit, and an insert at capacity sweeps a FIFO queue, re-queueing
-///   referenced entries (bit cleared) and evicting the first cold one. The
-///   hit rate therefore degrades smoothly at the capacity boundary instead
-///   of cliffing to zero (the old behavior dropped the whole shard).
-/// * **The decoded-adjacency slab** — whole neighbor lists admitted by
-///   [`Oracle::neighbors_into`] misses, byte-bounded per shard
-///   ([`CachedOracle::with_slab_bytes`]) with the same second-chance sweep.
-///   A resident list answers *all* probe kinds for its vertex (`degree` is
-///   its length, `neighbor` an index, `adjacency` a scan), so one bulk miss
-///   against an implicit generator converts every later point probe of that
-///   vertex into a memory read.
+/// Each shard holds one store: resident lists `Γ(v)`, byte-bounded per
+/// shard ([`CachedOracle::with_slab_bytes`]). Every probe kind is served
+/// from the list of its vertex — `degree` is its length, `neighbor` an
+/// index, `adjacency` a scan, `neighbors_into` a copy. A miss fetches the
+/// list with one [`Oracle::neighbors_into`] call into a reusable per-shard
+/// buffer, with the shard lock held (so a raced miss is fetched once), and
+/// admits it. Eviction is *second chance*: a hit sets the list's referenced
+/// bit, and an admission over budget sweeps the FIFO, re-queueing
+/// referenced lists (bit cleared) and evicting cold ones, so the hit rate
+/// degrades smoothly at the budget boundary. A list the inner oracle
+/// returns incomplete (a budget-refused prefix) is never admitted; point
+/// probes that meet one are forwarded to the inner oracle unchanged.
 ///
 /// # Example
 ///
@@ -72,151 +69,113 @@ const LIST_OVERHEAD_BYTES: usize = 48;
 pub struct CachedOracle<O> {
     inner: O,
     shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: Option<usize>,
     slab_bytes_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
-/// A point-cache entry: the cached answer plus its second-chance bit.
-#[derive(Debug)]
-struct Entry<T> {
-    value: T,
-    referenced: bool,
-}
-
-/// A decoded-adjacency slab entry: the full `Γ(v)` plus its referenced bit.
+/// A resident list: the full `Γ(v)` plus its second-chance bit.
 #[derive(Debug)]
 struct ListEntry {
     nbrs: Box<[VertexId]>,
     referenced: bool,
 }
 
-impl ListEntry {
-    fn bytes(&self) -> usize {
-        self.nbrs.len() * std::mem::size_of::<VertexId>() + LIST_OVERHEAD_BYTES
-    }
+/// Accounted bytes of a resident list of `len` neighbors.
+fn list_bytes(len: usize) -> usize {
+    len * std::mem::size_of::<VertexId>() + LIST_OVERHEAD_BYTES
 }
 
-/// Keys of the point-entry eviction queue, tagged by probe kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PointKey {
-    Degree(u32),
-    Neighbor(u32, u32),
-    Adjacency(u32, u32),
+/// Hashes a `u32` vertex key with the splitmix64 finalizer: vertex ids are
+/// not attacker-chosen hash-flooding input, so SipHash buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) ^ b as u64;
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = v as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    degree: HashMap<u32, Entry<usize>>,
-    neighbor: HashMap<(u32, u32), Entry<Option<VertexId>>>,
-    adjacency: HashMap<(u32, u32), Entry<Option<usize>>>,
-    /// FIFO of point keys in admission order (second-chance clock).
-    queue: VecDeque<PointKey>,
-    /// The decoded-adjacency slab and its FIFO, accounted in bytes.
-    lists: HashMap<u32, ListEntry>,
-    list_queue: VecDeque<u32>,
-    list_bytes: usize,
+    lists: HashMap<u32, ListEntry, BuildHasherDefault<VertexHasher>>,
+    /// FIFO of resident vertices in admission order (second-chance clock).
+    queue: VecDeque<u32>,
+    /// Accounted bytes of the resident lists.
+    bytes: usize,
+    /// Reusable miss buffer: the inner oracle fills it, probes read it.
+    buf: Vec<VertexId>,
+    hits: u64,
+    misses: u64,
 }
 
 impl Shard {
-    fn len(&self) -> usize {
-        self.degree.len() + self.neighbor.len() + self.adjacency.len() + self.lists.len()
-    }
-
-    /// Evicts one cold point entry via the second-chance sweep. Each pass
-    /// either evicts or clears one referenced bit and re-queues, so the
-    /// sweep terminates within `2 × queue.len()` iterations.
-    fn evict_one_point(&mut self) {
-        let mut budget = 2 * self.queue.len();
-        while let Some(key) = self.queue.pop_front() {
-            let referenced = match key {
-                PointKey::Degree(k) => self.degree.get_mut(&k).map(|e| {
-                    let r = e.referenced;
-                    e.referenced = false;
-                    r
-                }),
-                PointKey::Neighbor(v, i) => self.neighbor.get_mut(&(v, i)).map(|e| {
-                    let r = e.referenced;
-                    e.referenced = false;
-                    r
-                }),
-                PointKey::Adjacency(u, v) => self.adjacency.get_mut(&(u, v)).map(|e| {
-                    let r = e.referenced;
-                    e.referenced = false;
-                    r
-                }),
-            };
-            match referenced {
-                // Stale queue slot (entry already gone): keep sweeping.
-                None => {}
-                Some(true) => {
-                    self.queue.push_back(key);
-                    budget = budget.saturating_sub(1);
-                    if budget == 0 {
-                        break;
-                    }
-                    continue;
-                }
-                Some(false) => {
-                    match key {
-                        PointKey::Degree(k) => {
-                            self.degree.remove(&k);
-                        }
-                        PointKey::Neighbor(v, i) => {
-                            self.neighbor.remove(&(v, i));
-                        }
-                        PointKey::Adjacency(u, v) => {
-                            self.adjacency.remove(&(u, v));
-                        }
-                    }
-                    return;
-                }
-            }
-            budget = budget.saturating_sub(1);
-            if budget == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Shrinks the slab below `budget` bytes (second-chance order).
-    fn evict_lists_to(&mut self, budget: usize) {
-        let mut sweeps = 2 * self.list_queue.len();
-        while self.list_bytes > budget {
-            let Some(v) = self.list_queue.pop_front() else {
+    /// Admits the list in `buf` as `Γ(v)` if it fits within `budget`
+    /// bytes, evicting cold lists (second-chance order) to make room.
+    fn admit_buf(&mut self, v: u32, budget: usize) {
+        let bytes = list_bytes(self.buf.len());
+        let Some(room) = budget.checked_sub(bytes) else {
+            return;
+        };
+        // Each pass either evicts or clears one referenced bit, so after
+        // `2 × queue.len()` passes every list is gone or the budget is met.
+        let mut sweeps = 2 * self.queue.len();
+        while self.bytes > room && sweeps > 0 {
+            sweeps -= 1;
+            let Some(w) = self.queue.pop_front() else {
                 break;
             };
-            match self.lists.get_mut(&v) {
-                None => {}
+            match self.lists.get_mut(&w) {
                 Some(e) if e.referenced => {
                     e.referenced = false;
-                    self.list_queue.push_back(v);
+                    self.queue.push_back(w);
                 }
-                Some(_) => {
-                    if let Some(e) = self.lists.remove(&v) {
-                        self.list_bytes = self.list_bytes.saturating_sub(e.bytes());
+                _ => {
+                    if let Some(e) = self.lists.remove(&w) {
+                        self.bytes = self.bytes.saturating_sub(list_bytes(e.nbrs.len()));
                     }
                 }
             }
-            sweeps = sweeps.saturating_sub(1);
-            if sweeps == 0 {
-                break;
-            }
+        }
+        if self.bytes <= room {
+            let entry = ListEntry {
+                nbrs: self.buf.as_slice().into(),
+                referenced: false,
+            };
+            self.lists.insert(v, entry);
+            self.queue.push_back(v);
+            self.bytes += bytes;
         }
     }
 }
 
 /// Hit/miss/size counters of a [`CachedOracle`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Probes answered from the cache.
+    /// Logical probes answered from a resident list (a buffered scan counts
+    /// `deg + 1`).
     pub hits: u64,
-    /// Probes forwarded to the inner oracle.
+    /// Logical probes that had to fetch `Γ(v)` from the inner oracle. One
+    /// fetch answers one miss, so this is *not* the inner oracle's probe
+    /// count.
     pub misses: u64,
-    /// Entries currently resident across all shards (point entries plus
-    /// decoded adjacency lists).
+    /// Adjacency lists currently resident across all shards.
     pub entries: usize,
+    /// Accounted bytes of the resident lists (payload plus per-list
+    /// overhead), bounded by shards × the per-shard budget.
+    pub bytes: usize,
 }
 
 impl CacheStats {
@@ -241,37 +200,34 @@ impl std::ops::Add for CacheStats {
             hits: self.hits + rhs.hits,
             misses: self.misses + rhs.misses,
             entries: self.entries + rhs.entries,
+            bytes: self.bytes + rhs.bytes,
         }
     }
 }
 
 impl<O: Oracle> CachedOracle<O> {
-    /// Wraps an oracle with an unbounded point cache over 16 shards and the
-    /// default slab budget.
+    /// Wraps an oracle with 16 shards and the default list budget.
     pub fn new(inner: O) -> Self {
-        Self::with_shards(inner, DEFAULT_SHARDS, None)
+        Self::with_shards(inner, DEFAULT_SHARDS)
     }
 
-    /// Wraps with explicit shard count and optional per-shard point-entry
-    /// cap.
+    /// Wraps with an explicit shard count and the default per-shard list
+    /// budget.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn with_shards(inner: O, shards: usize, per_shard_capacity: Option<usize>) -> Self {
+    pub fn with_shards(inner: O, shards: usize) -> Self {
         assert!(shards > 0, "at least one shard is required");
         Self {
             inner,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
             slab_bytes_per_shard: DEFAULT_SLAB_BYTES,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    /// Sets the per-shard byte budget of the decoded-adjacency slab
-    /// (`0` disables bulk caching entirely).
+    /// Sets the per-shard byte budget of the list store (`0` admits
+    /// nothing: every probe fetches from the inner oracle).
     pub fn with_slab_bytes(mut self, bytes_per_shard: usize) -> Self {
         self.slab_bytes_per_shard = bytes_per_shard;
         self
@@ -279,17 +235,26 @@ impl<O: Oracle> CachedOracle<O> {
 
     /// Current hit/miss/occupancy counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| lock_shard(s).len()).sum(),
-        }
+        self.shards.iter().fold(CacheStats::default(), |acc, s| {
+            let s = lock_shard(s);
+            acc + CacheStats {
+                hits: s.hits,
+                misses: s.misses,
+                entries: s.lists.len(),
+                bytes: s.bytes,
+            }
+        })
     }
 
-    /// Drops every cached entry (counters are kept).
+    /// Drops every resident list (counters are kept).
     pub fn flush(&self) {
         for shard in &self.shards {
-            *lock_shard(shard) = Shard::default();
+            let mut s = lock_shard(shard);
+            *s = Shard {
+                hits: s.hits,
+                misses: s.misses,
+                ..Shard::default()
+            };
         }
     }
 
@@ -308,34 +273,51 @@ impl<O: Oracle> CachedOracle<O> {
         }
     }
 
-    /// Makes room for one point entry, then inserts via `put`.
-    fn admit(&self, shard: &mut Shard, key: PointKey, put: impl FnOnce(&mut Shard)) {
-        if let Some(cap) = self.per_shard_capacity {
-            let point_len = shard.degree.len() + shard.neighbor.len() + shard.adjacency.len();
-            if point_len >= cap.max(1) {
-                shard.evict_one_point();
-            }
+    /// The one probe path: runs `read` over `Γ(v)` (possibly an incomplete
+    /// prefix) and `deg(v)`, and counts the `read`-reported number of
+    /// logical probes as hits or misses. A hit reads the resident list; a
+    /// miss fetches it into the shard buffer and admits it if complete.
+    fn with_list<T>(&self, v: VertexId, read: impl FnOnce(&[VertexId], usize) -> (T, u64)) -> T {
+        let mut guard = self.shard(v.raw());
+        let s = &mut *guard;
+        if let Some(e) = s.lists.get_mut(&v.raw()) {
+            e.referenced = true;
+            let (answer, probes) = read(&e.nbrs, e.nbrs.len());
+            s.hits += probes;
+            return answer;
         }
-        shard.queue.push_back(key);
-        put(shard);
+        let d = self.inner.neighbors_into(v, &mut s.buf);
+        let (answer, probes) = read(&s.buf, d);
+        s.misses += probes;
+        // Only complete lists are admitted: a budget-refused prefix must
+        // not masquerade as `Γ(v)` for future probes.
+        if s.buf.len() == d {
+            s.admit_buf(v.raw(), self.slab_bytes_per_shard);
+        }
+        answer
     }
 
-    /// Serves a probe from the decoded list if resident. Returns the answer
-    /// produced by `read`, or `None` when the vertex has no resident list.
-    fn read_resident<T>(
+    /// A point probe of `v`: `read` on a complete list, else `forward` to
+    /// the inner oracle.
+    fn point<T>(
         &self,
-        shard: &mut Shard,
-        v: u32,
+        v: VertexId,
         read: impl FnOnce(&[VertexId]) -> T,
-    ) -> Option<T> {
-        let e = shard.lists.get_mut(&v)?;
-        e.referenced = true;
-        Some(read(&e.nbrs))
+        forward: impl FnOnce(&O) -> T,
+    ) -> T {
+        self.with_list(v, |l, d| {
+            let answer = if l.len() == d {
+                read(l)
+            } else {
+                forward(&self.inner)
+            };
+            (answer, 1)
+        })
     }
 }
 
 /// Locks a shard, recovering the guard if a holder panicked: every cached
-/// value is a pure probe answer, so a poisoned shard is still valid data.
+/// list is a pure probe answer, so a poisoned shard is still valid data.
 fn lock_shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     match m.lock() {
         Ok(g) => g,
@@ -356,124 +338,25 @@ impl<O: Oracle> Oracle for CachedOracle<O> {
     }
 
     fn degree(&self, v: VertexId) -> usize {
-        let mut s = self.shard(v.raw());
-        if let Some(d) = self.read_resident(&mut s, v.raw(), <[VertexId]>::len) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return d;
-        }
-        if let Some(e) = s.degree.get_mut(&v.raw()) {
-            e.referenced = true;
-            let d = e.value;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return d;
-        }
-        let d = self.inner.degree(v);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(&mut s, PointKey::Degree(v.raw()), |s| {
-            s.degree.insert(
-                v.raw(),
-                Entry {
-                    value: d,
-                    referenced: false,
-                },
-            );
-        });
-        d
+        self.point(v, <[VertexId]>::len, |o| o.degree(v))
     }
 
     fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
-        let Ok(idx) = u32::try_from(i) else {
-            return self.inner.neighbor(v, i); // beyond u32: certainly ⊥, skip cache
-        };
-        let mut s = self.shard(v.raw());
-        if let Some(w) = self.read_resident(&mut s, v.raw(), |l| l.get(i).copied()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return w;
-        }
-        let key = (v.raw(), idx);
-        if let Some(e) = s.neighbor.get_mut(&key) {
-            e.referenced = true;
-            let w = e.value;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return w;
-        }
-        let w = self.inner.neighbor(v, i);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(&mut s, PointKey::Neighbor(v.raw(), idx), |s| {
-            s.neighbor.insert(
-                key,
-                Entry {
-                    value: w,
-                    referenced: false,
-                },
-            );
-        });
-        w
+        self.point(v, |l| l.get(i).copied(), |o| o.neighbor(v, i))
     }
 
     fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        let mut s = self.shard(u.raw());
-        if let Some(p) = self.read_resident(&mut s, u.raw(), |l| l.iter().position(|&w| w == v)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return p;
-        }
-        let key = (u.raw(), v.raw());
-        if let Some(e) = s.adjacency.get_mut(&key) {
-            e.referenced = true;
-            let p = e.value;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return p;
-        }
-        let p = self.inner.adjacency(u, v);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(&mut s, PointKey::Adjacency(u.raw(), v.raw()), |s| {
-            s.adjacency.insert(
-                key,
-                Entry {
-                    value: p,
-                    referenced: false,
-                },
-            );
-        });
-        p
+        self.point(u, |l| l.iter().position(|&w| w == v), |o| o.adjacency(u, v))
     }
 
     fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
-        let mut s = self.shard(v.raw());
-        if let Some(d) = self.read_resident(&mut s, v.raw(), |l| {
+        // One buffered scan is `len + 1` logical probes; an incomplete
+        // fetch is passed through as the inner oracle returned it.
+        self.with_list(v, |l, d| {
             out.clear();
             out.extend_from_slice(l);
-            l.len()
-        }) {
-            // One buffered scan is deg + 1 logical probes, all served here.
-            self.hits.fetch_add(d as u64 + 1, Ordering::Relaxed);
-            return d;
-        }
-        let d = self.inner.neighbors_into(v, out);
-        self.misses
-            .fetch_add(out.len() as u64 + 1, Ordering::Relaxed);
-        // Admit only complete lists: a truncated scan (budget-refused
-        // prefix) must not masquerade as `Γ(v)` for future probes.
-        if out.len() == d {
-            let entry = ListEntry {
-                nbrs: out.as_slice().into(),
-                referenced: false,
-            };
-            let bytes = entry.bytes();
-            if bytes <= self.slab_bytes_per_shard {
-                let budget = self.slab_bytes_per_shard - bytes;
-                s.evict_lists_to(budget);
-                if s.list_bytes <= budget {
-                    if let Some(old) = s.lists.insert(v.raw(), entry) {
-                        s.list_bytes = s.list_bytes.saturating_sub(old.bytes());
-                    } else {
-                        s.list_queue.push_back(v.raw());
-                    }
-                    s.list_bytes += bytes;
-                }
-            }
-        }
-        d
+            (d, l.len() as u64 + 1)
+        })
     }
 
     fn label(&self, v: VertexId) -> u64 {
@@ -492,7 +375,7 @@ mod tests {
     use lca_graph::gen::structured;
 
     #[test]
-    fn answers_match_and_repeats_hit() {
+    fn answers_match_and_each_list_is_fetched_once() {
         let g = structured::cycle(8);
         let counted = CountingOracle::new(&g);
         let cached = CachedOracle::new(&counted);
@@ -503,12 +386,16 @@ mod tests {
                 assert_eq!(cached.neighbor(v, 99), g.neighbor(v, 99));
             }
         }
-        // Inner oracle saw each distinct probe exactly once.
-        assert_eq!(counted.counts().total(), 8 * 3);
+        // The inner oracle saw one bulk fetch per vertex: `deg + 1` probes.
+        let inner = counted.counts();
+        assert_eq!(inner.degree, 8);
+        assert_eq!(inner.neighbor, 8 * 2);
+        assert_eq!(inner.adjacency, 0);
         let stats = cached.stats();
-        assert_eq!(stats.misses, 8 * 3);
-        assert_eq!(stats.hits, 8 * 3 * 2);
-        assert!(stats.hit_rate() > 0.6);
+        assert_eq!(stats.misses, 8);
+        assert_eq!(stats.hits, 8 * 3 * 3 - 8);
+        assert_eq!(stats.entries, 8);
+        assert_eq!(stats.bytes, 8 * list_bytes(2));
     }
 
     #[test]
@@ -523,37 +410,39 @@ mod tests {
     }
 
     #[test]
-    fn capacity_flush_keeps_answers_correct() {
+    fn tiny_budget_keeps_answers_correct() {
         let g = structured::complete(12);
-        let cached = CachedOracle::with_shards(&g, 2, Some(4));
+        // Each 11-neighbor list costs 92 bytes: at most two fit per shard.
+        let cached = CachedOracle::with_shards(&g, 2).with_slab_bytes(2 * list_bytes(11));
         for round in 0..3 {
             for v in g.vertices() {
                 assert_eq!(cached.degree(v), 11, "round {round}");
-                for i in 0..11 {
+                for i in 0..12 {
                     assert_eq!(cached.neighbor(v, i), g.neighbor(v, i));
+                    if let Some(w) = g.neighbor(v, i) {
+                        assert_eq!(cached.adjacency(v, w), Some(i));
+                    }
                 }
             }
         }
         let stats = cached.stats();
-        assert!(
-            stats.entries <= 2 * 4,
-            "capacity exceeded: {}",
-            stats.entries
-        );
+        assert!(stats.entries <= 2 * 2, "budget exceeded: {stats:?}");
+        assert!(stats.bytes <= 2 * 2 * list_bytes(11), "{stats:?}");
+        assert!(stats.hits > stats.misses, "{stats:?}");
     }
 
     #[test]
     fn eviction_is_incremental_not_wholesale() {
         // A hot set (12 vertices, re-probed every round) under constant cold
         // pressure (4 fresh vertices per round from a 16-vertex pool, so the
-        // cache sits pinned at its 16-entry capacity). The old wholesale
-        // flush emptied the shard — hot set included — every time an insert
-        // hit capacity, cratering whole rounds to a 0% hit rate; the
-        // second-chance sweep must instead keep re-referenced hot entries
+        // store sits pinned at its 16-list budget). A wholesale flush would
+        // empty the shard — hot set included — every time an admission hit
+        // the budget, cratering whole rounds to a 0% hit rate; the
+        // second-chance sweep must instead keep re-referenced hot lists
         // resident and evict only cold ones, so every round after warmup
         // serves all 12 hot probes from cache.
         let g = structured::complete(28);
-        let cached = CachedOracle::with_shards(&g, 1, Some(16)).with_slab_bytes(0);
+        let cached = CachedOracle::with_shards(&g, 1).with_slab_bytes(16 * list_bytes(27));
         let hot: Vec<VertexId> = (0..12).map(VertexId::new).collect();
         for &v in &hot {
             cached.degree(v); // warmup: hot set resident
@@ -572,12 +461,8 @@ mod tests {
             let hits = (after.hits - before.hits) as f64;
             let reqs = (after.requests() - before.requests()) as f64;
             worst_round_rate = worst_round_rate.min(hits / reqs);
-            assert!(after.entries <= 16, "capacity exceeded: {}", after.entries);
+            assert!(after.entries <= 16, "budget exceeded: {}", after.entries);
         }
-        assert!(
-            worst_round_rate > 0.0,
-            "hit rate cratered to 0 under capacity pressure"
-        );
         // Second chance retains the full hot set: 12 of 16 probes per round.
         assert!(
             worst_round_rate >= 12.0 / 16.0,
@@ -586,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn decoded_list_serves_all_probe_kinds() {
+    fn resident_list_serves_all_probe_kinds() {
         let g = structured::cycle(9);
         let counted = CountingOracle::new(&g);
         let cached = CachedOracle::new(&counted);
@@ -598,26 +483,32 @@ mod tests {
         assert_eq!(cached.degree(v), 2);
         assert_eq!(cached.neighbor(v, 0), Some(buf[0]));
         assert_eq!(cached.neighbor(v, 1), Some(buf[1]));
+        assert_eq!(cached.neighbor(v, 2), None);
         assert_eq!(cached.adjacency(v, buf[1]), Some(1));
         assert_eq!(cached.adjacency(v, v), None);
         let mut buf2 = Vec::new();
         assert_eq!(cached.neighbors_into(v, &mut buf2), 2);
         assert_eq!(buf, buf2);
         assert_eq!(counted.counts().total(), after_fill, "all hits after fill");
+        // The fill was `deg + 1` misses; the scan `deg + 1` hits.
+        let stats = cached.stats();
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.hits, 6 + 3);
     }
 
     #[test]
     fn slab_respects_byte_budget() {
         let g = structured::complete(64);
         // Budget fits only a couple of 63-neighbor lists per shard.
-        let cached = CachedOracle::with_shards(&g, 1, None).with_slab_bytes(700);
+        let cached = CachedOracle::with_shards(&g, 1).with_slab_bytes(700);
         let mut buf = Vec::new();
         for v in g.vertices() {
             cached.neighbors_into(v, &mut buf);
         }
-        let resident = cached.stats().entries;
-        assert!(resident >= 1, "budget admits at least one list");
-        assert!(resident <= 3, "byte budget exceeded: {resident} lists");
+        let stats = cached.stats();
+        assert!(stats.entries >= 1, "budget admits at least one list");
+        assert!(stats.entries <= 3, "byte budget exceeded: {stats:?}");
+        assert!(stats.bytes <= 700, "byte budget exceeded: {stats:?}");
         // Answers stay correct regardless of residency.
         for v in g.vertices() {
             assert_eq!(cached.degree(v), 63);
@@ -625,12 +516,65 @@ mod tests {
     }
 
     #[test]
-    fn zero_slab_budget_disables_bulk_caching() {
+    fn zero_budget_admits_nothing() {
         let g = structured::star(6);
         let cached = CachedOracle::new(&g).with_slab_bytes(0);
         let mut buf = Vec::new();
         cached.neighbors_into(VertexId::new(0), &mut buf);
         assert_eq!(buf.len(), 5);
+        assert_eq!(cached.degree(VertexId::new(0)), 5);
+        assert_eq!(cached.neighbor(VertexId::new(0), 4), Some(buf[4]));
+        let stats = cached.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.hits), (0, 0, 0));
+        assert_eq!(stats.misses, 6 + 2);
+    }
+
+    /// An oracle whose bulk scan stops after `keep` neighbors, like a
+    /// budgeted view that ran dry mid-scan.
+    struct Truncating<'a> {
+        g: &'a lca_graph::Graph,
+        keep: usize,
+    }
+
+    impl Oracle for Truncating<'_> {
+        fn vertex_count(&self) -> usize {
+            self.g.vertex_count()
+        }
+        fn degree(&self, v: VertexId) -> usize {
+            Oracle::degree(self.g, v)
+        }
+        fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
+            Oracle::neighbor(self.g, v, i)
+        }
+        fn adjacency(&self, u: VertexId, v: VertexId) -> Option<usize> {
+            Oracle::adjacency(self.g, u, v)
+        }
+        fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+            let d = self.g.neighbors_into(v, out);
+            out.truncate(self.keep);
+            d
+        }
+        fn label(&self, v: VertexId) -> u64 {
+            Oracle::label(self.g, v)
+        }
+    }
+
+    #[test]
+    fn incomplete_lists_are_never_admitted() {
+        let g = structured::complete(6);
+        let cached = CachedOracle::new(Truncating { g: &g, keep: 2 });
+        let v = VertexId::new(3);
+        assert_eq!(cached.degree(v), 5);
+        for i in 0..7 {
+            assert_eq!(cached.neighbor(v, i), Oracle::neighbor(&g, v, i));
+        }
+        for w in g.vertices() {
+            assert_eq!(cached.adjacency(v, w), Oracle::adjacency(&g, v, w));
+        }
+        // A bulk scan passes the inner prefix through untouched.
+        let mut buf = Vec::new();
+        assert_eq!(cached.neighbors_into(v, &mut buf), 5);
+        assert_eq!(buf.len(), 2);
         assert_eq!(cached.stats().entries, 0);
     }
 
@@ -640,27 +584,33 @@ mod tests {
             hits: 3,
             misses: 1,
             entries: 2,
+            bytes: 100,
         };
         let b = CacheStats {
             hits: 7,
             misses: 9,
             entries: 4,
+            bytes: 28,
         };
         let sum = a + b;
         assert_eq!(sum.hits, 10);
         assert_eq!(sum.misses, 10);
         assert_eq!(sum.entries, 6);
+        assert_eq!(sum.bytes, 128);
         assert_eq!(sum.requests(), 20);
         assert_eq!(sum.hit_rate(), 0.5);
     }
 
     #[test]
-    fn flush_empties_the_cache() {
+    fn flush_empties_the_cache_and_keeps_counters() {
         let g = structured::path(5);
         let cached = CachedOracle::new(&g);
         cached.degree(VertexId::new(1));
+        cached.degree(VertexId::new(1));
         assert_eq!(cached.stats().entries, 1);
         cached.flush();
-        assert_eq!(cached.stats().entries, 0);
+        let stats = cached.stats();
+        assert_eq!((stats.entries, stats.bytes), (0, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 }

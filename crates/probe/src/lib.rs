@@ -23,8 +23,11 @@
 //!   for the lower-bound experiment's probe-answer histories.
 //! * [`MemoOracle`] — counts only *distinct* probes, modelling an LCA that
 //!   caches oracle answers in its local memory during one query.
-//! * [`CachedOracle`] — a sharded **serving-layer** cache that persists
-//!   across queries.
+//! * [`CachedOracle`] — a sharded **serving-layer** store of whole
+//!   adjacency lists that persists across queries: every probe of `v` is
+//!   served from a resident `Γ(v)`, fetched with one
+//!   [`Oracle::neighbors_into`] on a miss, and the store is bounded in
+//!   bytes, not entries.
 //!
 //! # Two caches, two meanings
 //!
@@ -44,7 +47,9 @@
 //!   queries, because probes are pure reads and caching cannot change any
 //!   answer. It deliberately never appears in a probe-cost report: it
 //!   reduces the cost of answering probes, not the number of probes the
-//!   algorithm needs.
+//!   algorithm needs. It caches lists rather than single answers because
+//!   an implicit generator computes all of `Γ(v)` to answer any one probe
+//!   of `v`.
 //!
 //! # Example
 //!

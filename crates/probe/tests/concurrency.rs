@@ -98,12 +98,18 @@ fn cached_oracle_is_exactly_once_under_contention() {
         }
     });
 
+    // Each miss is one bulk fetch, which the inner counter charges as one
+    // `degree` probe; nothing is evicted at this size, so exactly-once
+    // means one fetch per resident list.
     let stats = cached.stats();
+    assert_eq!(stats.entries, 64);
     assert_eq!(
-        counted.counts().total(),
-        stats.misses,
+        counted.counts().degree,
+        stats.entries as u64,
         "a raced miss was forwarded twice"
     );
+    assert_eq!(stats.misses, stats.entries as u64);
+    assert_eq!(counted.counts().adjacency, 0);
     assert_eq!(
         stats.hits + stats.misses,
         (THREADS * PROBES_PER_THREAD) as u64

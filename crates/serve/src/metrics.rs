@@ -298,6 +298,7 @@ pub fn session_stats_json(
         ("cache_hits".into(), num(cache.hits)),
         ("cache_misses".into(), num(cache.misses)),
         ("cache_entries".into(), num(cache.entries as u64)),
+        ("cache_bytes".into(), num(cache.bytes as u64)),
         (
             "cache_hit_rate".into(),
             // NaN renders as null; keep 0 for "no traffic yet" instead.
@@ -393,6 +394,10 @@ pub fn global_stats_json(global: &GlobalMetrics, snap: &GlobalSnapshot) -> Json 
         ("cache_hits_total".into(), num(snap.cache_total.hits)),
         ("cache_misses_total".into(), num(snap.cache_total.misses)),
         (
+            "cache_bytes_total".into(),
+            num(snap.cache_total.bytes as u64),
+        ),
+        (
             "cache_hit_rate_total".into(),
             Json::Num(if snap.cache_total.requests() == 0 {
                 0.0
@@ -480,11 +485,7 @@ mod tests {
         let m = SessionMetrics::default();
         let json = session_stats_json(
             &m,
-            lca_probe::CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-            },
+            lca_probe::CacheStats::default(),
             lca_probe::ProbeCounts::default(),
             0.0,
         );

@@ -906,7 +906,16 @@ impl Request {
                 )
             })?,
         };
-        let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(0);
+        let seed = match v.get("seed") {
+            None => 0,
+            Some(seed) => seed.as_u64().ok_or_else(|| {
+                ParseError::new(
+                    id,
+                    ErrorCode::BadRequest,
+                    "`seed` must be an integer in [0, 2^53]",
+                )
+            })?,
+        };
         let knob = v.get("knob").and_then(Json::as_f64);
         Ok(Some(SessionSpec {
             kind,
@@ -1041,6 +1050,33 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
             assert!(err.message.contains("budget_policy"), "{line}");
+        }
+    }
+
+    #[test]
+    fn seeds_are_exact_up_to_2_pow_53() {
+        let line =
+            r#"{"session": "s", "kind": "mis", "n": 10, "seed": 9007199254740992, "query": 1}"#;
+        let Request::Query { spec, .. } = Request::parse(line).unwrap() else {
+            panic!("not a query")
+        };
+        let seed = spec.unwrap().seed;
+        assert_eq!(seed, 1 << 53);
+        // And it renders back as the same integer.
+        let mut out = String::new();
+        Json::Num(seed as f64).render(&mut out);
+        assert_eq!(out, "9007199254740992");
+    }
+
+    #[test]
+    fn invalid_seeds_are_rejected_not_zeroed() {
+        for seed in ["1e16", "-1", "1.5", r#""7""#, "null"] {
+            let line = format!(
+                r#"{{"session": "s", "kind": "mis", "n": 10, "seed": {seed}, "query": 1}}"#
+            );
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+            assert!(err.message.contains("seed"), "{line}: {}", err.message);
         }
     }
 
@@ -1351,6 +1387,7 @@ mod tests {
                 hits: 30,
                 misses: 10,
                 entries: 10,
+                bytes: 4096,
             },
         };
         let session = SessionMetrics::default();
@@ -1417,6 +1454,10 @@ mod tests {
         assert_eq!(g.get("cache_hits_total").and_then(Json::as_u64), Some(30));
         assert_eq!(g.get("cache_misses_total").and_then(Json::as_u64), Some(10));
         assert_eq!(
+            g.get("cache_bytes_total").and_then(Json::as_u64),
+            Some(4096)
+        );
+        assert_eq!(
             g.get("cache_hit_rate_total").and_then(Json::as_f64),
             Some(0.75)
         );
@@ -1424,6 +1465,8 @@ mod tests {
         let s = parsed.get("sessions").and_then(|s| s.get("s")).expect("s");
         assert_eq!(s.get("queries").and_then(Json::as_u64), Some(10));
         assert_eq!(s.get("cache_hits").and_then(Json::as_u64), Some(30));
+        assert_eq!(s.get("cache_entries").and_then(Json::as_u64), Some(10));
+        assert_eq!(s.get("cache_bytes").and_then(Json::as_u64), Some(4096));
     }
 
     #[test]
@@ -1438,11 +1481,7 @@ mod tests {
                 sessions: 0,
                 registry_shards: 16,
                 registry_shard_hits: vec![0; 16],
-                cache_total: lca_probe::CacheStats {
-                    hits: 0,
-                    misses: 0,
-                    entries: 0,
-                },
+                cache_total: lca_probe::CacheStats::default(),
             },
         );
         let mut line = String::new();

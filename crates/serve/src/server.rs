@@ -174,11 +174,7 @@ impl Server {
         // itself.
         self.global.stats_renders.fetch_add(1, Ordering::Relaxed);
         let sessions = self.registry.snapshot();
-        let mut cache_total = lca_probe::CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-        };
+        let mut cache_total = lca_probe::CacheStats::default();
         let session_objs: Vec<(String, Json)> = sessions
             .iter()
             .map(|(name, s)| {

@@ -6,18 +6,22 @@
 //! ```text
 //! DynLca (built once via LcaBuilder)
 //!   └─ CountingOracle      — session probe totals + per-request deltas
-//!        └─ CachedOracle   — cross-query serving cache (sharded)
-//!             └─ implicit oracle — the input, recomputed per miss
+//!        └─ CachedOracle   — cross-query store of whole lists Γ(v)
+//!             └─ implicit oracle — the input, one list regenerated per miss
 //! ```
 //!
 //! The cache sits *below* the session counter, which keeps session probe
 //! *totals*; per-request `probes` come from the per-query `QueryCtx`
 //! meters (exact under concurrency), while the cache absorbs the cost of
 //! recomputing implicit adjacency — the division of labor documented in
-//! `lca-probe` ("two caches, two meanings"). The same contexts enforce the
-//! request's `max_probes`/`deadline_ms` budget; a tripped query fails the
-//! request with `budget-exhausted` (or `deadline-exceeded`) and bumps the
-//! session's `budget_exhausted` counter and utilization histogram.
+//! `lca-probe` ("two caches, two meanings"). Every probe of `v` is served
+//! from a resident `Γ(v)`; a miss regenerates the list once and admits it
+//! under a fixed byte budget (16 shards × 256 KiB), so a session's cache
+//! memory is bounded however much cold traffic it serves. The same
+//! contexts enforce the request's `max_probes`/`deadline_ms` budget; a
+//! tripped query fails the request with `budget-exhausted` (or
+//! `deadline-exceeded`) and bumps the session's `budget_exhausted` counter
+//! and utilization histogram.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -541,6 +545,46 @@ mod tests {
         let m = &session.metrics;
         assert_eq!(m.queries.load(std::sync::atomic::Ordering::Relaxed), 2);
         assert!(session.probe_counts().total() > after_second.misses);
+    }
+
+    #[test]
+    fn cache_memory_is_bounded_under_cold_traffic() {
+        // Thousands of distinct cold k2-spanner queries touch far more
+        // lists than the cache may hold; the store must stay inside its
+        // byte budget (16 shards × 256 KiB) instead of growing with traffic.
+        const BUDGET: usize = 16 * 256 * 1024;
+        let spec = SessionSpec {
+            kind: AlgorithmKind::Spanner(SpannerKind::K2),
+            family: ImplicitFamily::Gnp,
+            n: 10_000_000,
+            seed: 3,
+            knob: None,
+        };
+        let session = Arc::new(Session::build(spec.clone()));
+        let oracle = spec
+            .family
+            .build_with(spec.n, input_seed(spec.seed), spec.knob);
+        let queries: Vec<QueryPayload> = QuerySource::sample(2000, Seed::new(9))
+            .queries(spec.kind, &oracle)
+            .into_iter()
+            .map(|q| match q {
+                lca::core::DynQuery::Edge(u, v) => {
+                    QueryPayload::Edge(u.raw() as u64, v.raw() as u64)
+                }
+                lca::core::DynQuery::Vertex(_) => unreachable!("spanner queries are edges"),
+            })
+            .collect();
+        assert_eq!(queries.len(), 2000);
+        for chunk in queries.chunks(100) {
+            let resp = session.answer("s", chunk, None, &QueryBudget::unlimited(), None);
+            assert!(matches!(resp, Response::Answers { .. }), "{resp:?}");
+        }
+        let stats = session.cache_stats();
+        assert!(stats.bytes <= BUDGET, "over budget: {stats:?}");
+        // Every list costs at least its 48-byte overhead.
+        assert!(stats.entries <= BUDGET / 48, "{stats:?}");
+        // Not vacuous: the traffic fetched more lists than fit at once.
+        assert!(stats.misses > stats.entries as u64, "{stats:?}");
     }
 
     #[test]

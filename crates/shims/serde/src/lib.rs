@@ -16,6 +16,10 @@
 
 #![forbid(unsafe_code)]
 
+/// 2^53: every integer in `[0, 2^53]` is an exact `f64`, so this is the
+/// ceiling of [`Json::as_u64`].
+pub const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -51,12 +55,12 @@ impl Json {
         }
     }
 
-    /// The number as `u64`, if this is a non-negative integral
-    /// [`Json::Num`] (the shim stores all numbers as `f64`, so integers are
+    /// The number as `u64`, if this is an integral [`Json::Num`] in
+    /// `[0, 2^53]` (the shim stores all numbers as `f64`, so integers are
     /// exact up to 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9.0e15 => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT_INT => Some(*x as u64),
             _ => None,
         }
     }
@@ -244,6 +248,8 @@ mod tests {
         assert_eq!(Json::Null.get("n"), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+        assert_eq!(Json::Num(MAX_EXACT_INT).as_u64(), Some(1 << 53));
+        assert_eq!(Json::Num(1e16).as_u64(), None);
         assert_eq!(Json::Str("x".into()).as_f64(), None);
     }
 

@@ -97,10 +97,15 @@ fn accounting_wrappers_satisfy_the_laws() {
     assert_oracle_laws(&CountingOracle::new(&g), "CountingOracle");
     assert_oracle_laws(&MemoOracle::new(&g), "MemoOracle");
     assert_oracle_laws(&CachedOracle::new(&g), "CachedOracle");
-    // A bounded cache must stay law-abiding through evictions.
-    assert_oracle_laws(
-        &CachedOracle::with_shards(&g, 4, Some(64)),
-        "CachedOracle[bounded]",
+    // A bounded cache must stay law-abiding through evictions: 512 bytes
+    // per shard holds a handful of ~15-neighbor lists out of 300.
+    let bounded = CachedOracle::with_shards(&g, 4).with_slab_bytes(512);
+    assert_oracle_laws(&bounded, "CachedOracle[bounded]");
+    let stats = bounded.stats();
+    assert!(stats.bytes <= 4 * 512, "{stats:?}");
+    assert!(
+        stats.misses > stats.entries as u64,
+        "never evicted: {stats:?}"
     );
     // And the full serving stack composes.
     let counted = CountingOracle::new(&g);
