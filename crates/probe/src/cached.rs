@@ -40,16 +40,27 @@ const LIST_OVERHEAD_BYTES: usize = 48;
 ///
 /// Each shard holds one store: resident lists `Γ(v)`, byte-bounded per
 /// shard ([`CachedOracle::with_slab_bytes`]). Every probe kind is served
-/// from the list of its vertex — `degree` is its length, `neighbor` an
-/// index, `adjacency` a scan, `neighbors_into` a copy. A miss fetches the
-/// list with one [`Oracle::neighbors_into`] call into a reusable per-shard
+/// from a resident list of its vertex — `degree` is its length, `neighbor`
+/// an index, `adjacency` a scan, `neighbors_into` a copy. A miss of a probe
+/// that reads the list (`neighbor`, `adjacency`, `neighbors_into`) fetches
+/// it with one [`Oracle::neighbors_into`] call into a reusable per-shard
 /// buffer, with the shard lock held (so a raced miss is fetched once), and
-/// admits it. Eviction is *second chance*: a hit sets the list's referenced
-/// bit, and an admission over budget sweeps the FIFO, re-queueing
-/// referenced lists (bit cleared) and evicting cold ones, so the hit rate
-/// degrades smoothly at the budget boundary. A list the inner oracle
-/// returns incomplete (a budget-refused prefix) is never admitted; point
-/// probes that meet one are forwarded to the inner oracle unchanged.
+/// admits it. A `degree` miss reads no list, so it is forwarded as a
+/// `degree` probe and admits nothing: learning a hub's degree never pulls
+/// its whole list into the store, and a scan that follows still reaches
+/// the inner oracle as one bulk call. Eviction is *second chance*: a hit
+/// sets the list's referenced bit, and an admission over budget sweeps the
+/// FIFO, re-queueing referenced lists (bit cleared) and evicting cold
+/// ones, so the hit rate degrades smoothly at the budget boundary. A list
+/// the inner oracle returns incomplete (a budget-refused prefix) is never
+/// admitted; point probes that meet one are forwarded to the inner oracle
+/// unchanged.
+///
+/// Memory is bounded by construction: resident lists stay within the
+/// per-shard budget, and each shard's miss buffer is shrunk back to the
+/// budget after fetching a list too large to admit, so a cache holds at
+/// most `2 × shards × budget` bytes of neighbor data between probes
+/// (default 8 MiB, of which the `bytes` gauge reports the resident half).
 ///
 /// # Example
 ///
@@ -62,8 +73,10 @@ const LIST_OVERHEAD_BYTES: usize = 48;
 /// let gen = ImplicitGnp::new(1_000_000, 4.0, Seed::new(1));
 /// let cached = CachedOracle::new(&gen);
 /// let v = VertexId::new(123);
-/// assert_eq!(cached.degree(v), cached.degree(v)); // second hit is cached
-/// assert_eq!(cached.stats().hits, 1);
+/// let first = cached.neighbor(v, 0); // miss: fetches and admits Γ(v)
+/// assert_eq!(cached.neighbor(v, 0), first); // hit
+/// assert_eq!(cached.degree(v), gen.degree(v)); // hit: the list's length
+/// assert_eq!(cached.stats().hits, 2);
 /// ```
 #[derive(Debug)]
 pub struct CachedOracle<O> {
@@ -116,6 +129,7 @@ struct Shard {
     /// Accounted bytes of the resident lists.
     bytes: usize,
     /// Reusable miss buffer: the inner oracle fills it, probes read it.
+    /// Its capacity is kept within the byte budget between probes.
     buf: Vec<VertexId>,
     hits: u64,
     misses: u64,
@@ -273,10 +287,11 @@ impl<O: Oracle> CachedOracle<O> {
         }
     }
 
-    /// The one probe path: runs `read` over `Γ(v)` (possibly an incomplete
-    /// prefix) and `deg(v)`, and counts the `read`-reported number of
-    /// logical probes as hits or misses. A hit reads the resident list; a
-    /// miss fetches it into the shard buffer and admits it if complete.
+    /// The path of every probe that reads `Γ(v)`: runs `read` over the list
+    /// (possibly an incomplete prefix) and `deg(v)`, and counts the
+    /// `read`-reported number of logical probes as hits or misses. A hit
+    /// reads the resident list; a miss fetches it into the shard buffer and
+    /// admits it if complete.
     fn with_list<T>(&self, v: VertexId, read: impl FnOnce(&[VertexId], usize) -> (T, u64)) -> T {
         let mut guard = self.shard(v.raw());
         let s = &mut *guard;
@@ -293,6 +308,12 @@ impl<O: Oracle> CachedOracle<O> {
         // not masquerade as `Γ(v)` for future probes.
         if s.buf.len() == d {
             s.admit_buf(v.raw(), self.slab_bytes_per_shard);
+        }
+        // A hub list too large to admit must not pin its buffer either.
+        let keep = self.slab_bytes_per_shard / std::mem::size_of::<VertexId>();
+        if s.buf.capacity() > keep {
+            s.buf.clear();
+            s.buf.shrink_to(keep);
         }
         answer
     }
@@ -338,7 +359,17 @@ impl<O: Oracle> Oracle for CachedOracle<O> {
     }
 
     fn degree(&self, v: VertexId) -> usize {
-        self.point(v, <[VertexId]>::len, |o| o.degree(v))
+        let mut guard = self.shard(v.raw());
+        let s = &mut *guard;
+        if let Some(e) = s.lists.get_mut(&v.raw()) {
+            e.referenced = true;
+            s.hits += 1;
+            return e.nbrs.len();
+        }
+        // A degree miss needs no list: forward it and admit nothing.
+        s.misses += 1;
+        drop(guard);
+        self.inner.degree(v)
     }
 
     fn neighbor(&self, v: VertexId, i: usize) -> Option<VertexId> {
@@ -381,8 +412,8 @@ mod tests {
         let cached = CachedOracle::new(&counted);
         for _ in 0..3 {
             for v in g.vertices() {
-                assert_eq!(cached.degree(v), g.degree(v));
                 assert_eq!(cached.neighbor(v, 0), g.neighbor(v, 0));
+                assert_eq!(cached.degree(v), g.degree(v));
                 assert_eq!(cached.neighbor(v, 99), g.neighbor(v, 99));
             }
         }
@@ -404,9 +435,52 @@ mod tests {
         let counted = CountingOracle::new(&g);
         let cached = CachedOracle::new(&counted);
         // Two "queries" probing the same vertex: the second costs nothing.
+        cached.neighbor(VertexId::new(0), 3);
+        let after_first = counted.counts();
+        cached.neighbor(VertexId::new(0), 3);
         cached.degree(VertexId::new(0));
-        cached.degree(VertexId::new(0));
-        assert_eq!(counted.counts().degree, 1);
+        assert_eq!(counted.counts(), after_first);
+        assert_eq!(after_first.degree, 1);
+    }
+
+    #[test]
+    fn degree_misses_are_forwarded_not_fetched() {
+        let g = structured::star(10);
+        let counted = CountingOracle::new(&g);
+        let cached = CachedOracle::new(&counted);
+        let hub = VertexId::new(0);
+        // Reading a hub's degree pulls no list into the store...
+        assert_eq!(cached.degree(hub), 9);
+        assert_eq!(cached.degree(hub), 9);
+        assert_eq!((counted.counts().degree, counted.counts().neighbor), (2, 0));
+        assert_eq!(cached.stats().entries, 0);
+        // ...so a following scan is still one bulk fetch, which admits it.
+        let mut buf = Vec::new();
+        assert_eq!(cached.neighbors_into(hub, &mut buf), 9);
+        assert_eq!((counted.counts().degree, counted.counts().neighbor), (3, 9));
+        assert_eq!(cached.degree(hub), 9);
+        assert_eq!(counted.counts().degree, 3, "resident degree is a hit");
+        let stats = cached.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2 + 10, 1));
+    }
+
+    #[test]
+    fn oversized_fetch_does_not_pin_the_miss_buffer() {
+        let g = structured::star(300);
+        // 64 neighbors' worth of budget: the hub's 299 never fit.
+        let budget = list_bytes(64);
+        let cached = CachedOracle::with_shards(&g, 1).with_slab_bytes(budget);
+        assert_eq!(
+            cached.neighbor(VertexId::new(0), 298),
+            Some(VertexId::new(299))
+        );
+        assert_eq!(cached.stats().entries, 0);
+        let s = lock_shard(&cached.shards[0]);
+        assert!(
+            s.buf.capacity() * std::mem::size_of::<VertexId>() <= budget,
+            "miss buffer kept {} slots",
+            s.buf.capacity()
+        );
     }
 
     #[test]
@@ -445,17 +519,17 @@ mod tests {
         let cached = CachedOracle::with_shards(&g, 1).with_slab_bytes(16 * list_bytes(27));
         let hot: Vec<VertexId> = (0..12).map(VertexId::new).collect();
         for &v in &hot {
-            cached.degree(v); // warmup: hot set resident
+            cached.neighbor(v, 0); // warmup: hot set resident
         }
         let mut worst_round_rate = f64::INFINITY;
         for round in 0..12 {
             let before = cached.stats();
             for &v in &hot {
-                cached.degree(v);
+                cached.neighbor(v, 0);
             }
             for i in 0..4u32 {
                 let cold = 12 + (4 * round + i) % 16;
-                cached.degree(VertexId::from(cold));
+                cached.neighbor(VertexId::from(cold), 0);
             }
             let after = cached.stats();
             let hits = (after.hits - before.hits) as f64;
@@ -605,8 +679,8 @@ mod tests {
     fn flush_empties_the_cache_and_keeps_counters() {
         let g = structured::path(5);
         let cached = CachedOracle::new(&g);
-        cached.degree(VertexId::new(1));
-        cached.degree(VertexId::new(1));
+        cached.neighbor(VertexId::new(1), 0);
+        cached.neighbor(VertexId::new(1), 0);
         assert_eq!(cached.stats().entries, 1);
         cached.flush();
         let stats = cached.stats();

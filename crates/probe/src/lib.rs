@@ -25,9 +25,9 @@
 //!   caches oracle answers in its local memory during one query.
 //! * [`CachedOracle`] — a sharded **serving-layer** store of whole
 //!   adjacency lists that persists across queries: every probe of `v` is
-//!   served from a resident `Γ(v)`, fetched with one
-//!   [`Oracle::neighbors_into`] on a miss, and the store is bounded in
-//!   bytes, not entries.
+//!   served from a resident `Γ(v)`, a list-reading miss fetches it with one
+//!   [`Oracle::neighbors_into`] (a `degree` miss is forwarded), and the
+//!   store is bounded in bytes, not entries.
 //!
 //! # Two caches, two meanings
 //!

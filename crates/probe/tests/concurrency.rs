@@ -98,17 +98,21 @@ fn cached_oracle_is_exactly_once_under_contention() {
         }
     });
 
-    // Each miss is one bulk fetch, which the inner counter charges as one
-    // `degree` probe; nothing is evicted at this size, so exactly-once
-    // means one fetch per resident list.
+    // A list miss is one bulk fetch, which the inner counter charges as
+    // one `degree` plus `deg(v)` neighbor probes; a degree miss is one
+    // forwarded `degree` probe and fetches nothing. Nothing is evicted at
+    // this size and every vertex has a neighbor, so exactly-once means the
+    // inner neighbor charges sum each list exactly once.
     let stats = cached.stats();
     assert_eq!(stats.entries, 64);
+    assert!(g.vertices().all(|v| g.degree(v) > 0));
     assert_eq!(
-        counted.counts().degree,
-        stats.entries as u64,
+        counted.counts().neighbor,
+        g.vertices().map(|v| g.degree(v) as u64).sum::<u64>(),
         "a raced miss was forwarded twice"
     );
-    assert_eq!(stats.misses, stats.entries as u64);
+    // Every miss reached the inner oracle as exactly one call.
+    assert_eq!(counted.counts().degree, stats.misses);
     assert_eq!(counted.counts().adjacency, 0);
     assert_eq!(
         stats.hits + stats.misses,

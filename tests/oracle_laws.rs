@@ -99,13 +99,20 @@ fn accounting_wrappers_satisfy_the_laws() {
     assert_oracle_laws(&CachedOracle::new(&g), "CachedOracle");
     // A bounded cache must stay law-abiding through evictions: 512 bytes
     // per shard holds a handful of ~15-neighbor lists out of 300.
-    let bounded = CachedOracle::with_shards(&g, 4).with_slab_bytes(512);
+    let fetched = CountingOracle::new(&g);
+    let bounded = CachedOracle::with_shards(&fetched, 4).with_slab_bytes(512);
     assert_oracle_laws(&bounded, "CachedOracle[bounded]");
     let stats = bounded.stats();
     assert!(stats.bytes <= 4 * 512, "{stats:?}");
+    // Every list fits the budget (4 bytes a neighbor plus 48), and each
+    // fetch charges `deg(v)` neighbor probes below the cache; fetching each
+    // list more than twice on average means admitted lists were evicted.
+    assert!(g.vertices().all(|v| 4 * g.degree(v) + 48 <= 512));
+    let degree_sum: u64 = g.vertices().map(|v| g.degree(v) as u64).sum();
     assert!(
-        stats.misses > stats.entries as u64,
-        "never evicted: {stats:?}"
+        fetched.counts().neighbor > 2 * degree_sum,
+        "never evicted: {:?} vs degree sum {degree_sum}",
+        fetched.counts()
     );
     // And the full serving stack composes.
     let counted = CountingOracle::new(&g);
