@@ -210,7 +210,7 @@ impl Codec for Gateway {
         })
     }
 
-    fn render(&self, _: &mut usize, reply: &FleetReply) -> Vec<u8> {
+    fn render(&self, reply: &FleetReply) -> Vec<u8> {
         http::render_response(reply.status, &reply.body)
     }
 }

@@ -418,3 +418,55 @@ fn pipelined_requests_before_a_half_close_are_all_answered_in_order() {
     drop(stream);
     h0.join().expect("backend drains");
 }
+
+#[test]
+fn control_ops_posted_to_the_query_endpoint_never_reach_a_backend() {
+    let (addr0, h0, _b0) = spawn_backend("b0");
+    let (addr1, h1, _b1) = spawn_backend("b1");
+    let names = [name_for_shard(0), name_for_shard(1)];
+    let (gw_addr, gw_handle) = spawn_gateway(vec![addr0.clone(), addr1.clone()]);
+    let mut client = HttpClient::connect(&gw_addr);
+
+    // A body that names a session would route like a query. Forwarded, a
+    // `shutdown` would drain its backend for every client; only query
+    // requests may pass.
+    for op in [
+        r#""op":"shutdown""#,
+        r#""op":"stats""#,
+        r#""op":"hello","frame":"binary""#,
+    ] {
+        for name in &names {
+            let (status, response) =
+                client.query(&format!("{{\"id\":5,{op},\"session\":\"{name}\"}}"));
+            assert_eq!(status, 400, "{op} on {name}: {response:?}");
+            assert_eq!(
+                response.get("error").and_then(Json::as_str),
+                Some("bad-request"),
+                "{response:?}"
+            );
+            assert_eq!(response.get("id").and_then(Json::as_u64), Some(5));
+            let message = response.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("/v1/stats"), "{message}");
+        }
+    }
+
+    // Both backends are still up, and each shard still answers.
+    let (status, stats) = client.request("GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+    let fleet = stats.get("fleet").expect("fleet rollup");
+    assert_eq!(fleet.get("backends_up").and_then(Json::as_u64), Some(2));
+    for name in &names {
+        let (status, response) = client.query(&spec_query(6, name, 11));
+        assert_eq!(status, 200, "{name}: {response:?}");
+        assert!(response.get("answer").is_some(), "{response:?}");
+    }
+
+    client.request("POST", "/v1/shutdown", "");
+    gw_handle.join().expect("gateway drains");
+    for (addr, handle) in [(addr0, h0), (addr1, h1)] {
+        let mut stream = TcpStream::connect(&addr).expect("backend still up");
+        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        drop(stream);
+        handle.join().expect("backend drains");
+    }
+}

@@ -25,11 +25,8 @@
 //! readiness backend (default: epoll on Linux, the portable sweep
 //! elsewhere).
 //!
-//! Responses default to newline-JSON; a client may switch its own
-//! connection to length-prefixed binary frames by sending
-//! `{"op": "hello", "frame": "binary"}` as its first request (requests stay
-//! newline-JSON either way). No server flag is needed — framing is
-//! negotiated per connection. See `docs/PROTOCOL.md` for the frame layout.
+//! Every request and every response is one newline-terminated JSON line,
+//! on TCP and stdin alike; there is no other framing to negotiate.
 //!
 //! TCP mode prints one `{"listening": "<addr>"}` line to stdout once bound
 //! (with `--addr host:0` the kernel picks the port — scrape it from that

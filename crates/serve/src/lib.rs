@@ -9,7 +9,8 @@
 //! the process that stays up and serves them:
 //!
 //! * **Protocol** ([`proto`]) — newline-JSON over TCP or stdin; one request
-//!   line in, one response line out. Spec: `docs/PROTOCOL.md`.
+//!   line in, one response line out, with no other framing to negotiate.
+//!   Spec: `docs/PROTOCOL.md`.
 //! * **Sessions** ([`session`]) — lazily built, pinned
 //!   `(kind, family, n, seed)` instances, each owning an algorithm over a
 //!   `CountingOracle → CachedOracle → implicit oracle` stack.

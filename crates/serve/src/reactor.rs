@@ -29,7 +29,9 @@
 //!   past `MAX_WRITE_BUFFER` the connection is dropped).
 //! * **One response per request**, whether inline or deferred, until the
 //!   peer goes away. A peer that half-closes still gets every request it
-//!   sent before its EOF answered.
+//!   sent before its EOF answered, and costs no CPU while it waits: read
+//!   interest is dropped at EOF, so the level-triggered poller stops
+//!   reporting it.
 //! * **Drain flushes.** After a shutdown request the reactor stops
 //!   accepting, keeps servicing readiness until every admitted job has
 //!   delivered and every write queue is empty, then closes and returns.
@@ -79,12 +81,12 @@ pub trait Codec {
     /// A connection buffering more unframed bytes than this is dropped
     /// without an answer — no legitimate request is that large.
     const MAX_BUFFERED: usize;
-    /// Per-connection codec state (negotiated framing, a scan cursor).
+    /// Per-connection framing state (a scan cursor, say).
     type State: Default;
     /// One framed request.
     type Request;
     /// One reply, produced inline or on a worker; rendered to bytes on the
-    /// reactor thread in the connection's current framing.
+    /// reactor thread.
     type Reply: Send + 'static;
 
     /// The counters the reactor keeps: connection gauges, wakes,
@@ -108,9 +110,8 @@ pub trait Codec {
         reply: ReplyTo<Self::Reply>,
     ) -> Dispatch<Self::Reply>;
 
-    /// Renders `reply` as one wire unit in the connection's current
-    /// framing (which the reply itself may switch, e.g. a `hello` ack).
-    fn render(&self, state: &mut Self::State, reply: &Self::Reply) -> Vec<u8>;
+    /// Renders `reply` as one wire unit.
+    fn render(&self, reply: &Self::Reply) -> Vec<u8>;
 }
 
 /// What one [`Codec::frame`] attempt produced.
@@ -210,8 +211,9 @@ struct Conn<S> {
     peer_closed: bool,
     /// Close once the write queue flushes (after a framing rejection).
     close_after_flush: bool,
-    /// Whether the poller currently watches this fd for write readiness.
-    want_write: bool,
+    /// The poller's current interest in this fd, as (read, write). Read
+    /// interest ends at EOF; write interest lasts while bytes are queued.
+    interest: (bool, bool),
 }
 
 impl<S> Conn<S> {
@@ -281,7 +283,7 @@ impl<C: Codec> Reactor<C> {
     pub(crate) fn new(codec: Arc<C>, listener: TcpListener) -> io::Result<Reactor<C>> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, false)?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN)?;
         let completions = Arc::new(Completions {
             queue: Mutex::new(Vec::new()),
             waker: poller.waker(),
@@ -426,11 +428,7 @@ impl<C: Codec> Reactor<C> {
         let Some(token) = self.token_at(idx) else {
             return;
         };
-        if self
-            .poller
-            .register(stream.as_raw_fd(), token, false)
-            .is_err()
-        {
+        if self.poller.register(stream.as_raw_fd(), token).is_err() {
             self.free.push(idx);
             return;
         }
@@ -447,7 +445,7 @@ impl<C: Codec> Reactor<C> {
             pending: 0,
             peer_closed: false,
             close_after_flush: false,
-            want_write: false,
+            interest: (true, false),
         });
         self.open += 1;
         let metrics = self.metrics();
@@ -503,13 +501,12 @@ impl<C: Codec> Reactor<C> {
         self.slots.get(idx).map(|slot| token_of(idx, slot.gen))
     }
 
-    /// Renders `reply` in the connection's framing and queues it.
+    /// Renders `reply` and queues it.
     fn stage(&mut self, idx: usize, reply: &C::Reply) {
         let Some(conn) = self.slots.get_mut(idx).and_then(|s| s.conn.as_mut()) else {
             return;
         };
-        let unit = self.codec.render(&mut conn.state, reply);
-        conn.enqueue(unit);
+        conn.enqueue(self.codec.render(reply));
         self.metrics().responses.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -556,7 +553,16 @@ impl<C: Codec> Reactor<C> {
         let Some(idx) = self.live(ev.token) else {
             return;
         };
-        if ev.readable {
+        let peer_closed = matches!(self.conn_ref(idx), Some(c) if c.peer_closed);
+        if ev.hangup && peer_closed {
+            // Read interest is off after EOF, so an error or hang-up is the
+            // only news the poller brings: no reply can reach this peer.
+            self.close_conn(idx);
+            return;
+        }
+        // After EOF a read could only see EOF again (the sweep backend
+        // reports every token readable on every wake).
+        if ev.readable && !peer_closed {
             self.read_ready(idx);
         }
         if ev.writable && self.conn_ref(idx).is_some() {
@@ -600,10 +606,9 @@ impl<C: Codec> Reactor<C> {
                 }
             }
         }
-        // One coalesced flush for everything this readiness event staged.
-        if matches!(self.conn_ref(idx), Some(c) if c.queued_bytes > 0) {
-            self.flush_conn(idx);
-        }
+        // One coalesced flush for everything this readiness event staged;
+        // it also drops read interest if the peer just sent EOF.
+        self.flush_conn(idx);
         self.maybe_close_finished(idx);
     }
 
@@ -665,8 +670,9 @@ impl<C: Codec> Reactor<C> {
 
     /// Writes as much of the connection's queue as the socket accepts —
     /// gathering up to [`sys::MAX_IOVECS`] queued units per `writev` —
-    /// maintains write-readiness interest, enforces the buffer cap, and
-    /// closes a rejected connection once its last bytes are out.
+    /// brings the poller's interest up to date (read until EOF, write
+    /// while bytes are queued), enforces the buffer cap, and closes a
+    /// rejected connection once its last bytes are out.
     ///
     /// Accounting is exact per syscall: `bytes_written` grows by precisely
     /// the syscall's return value and the queue advances by the same
@@ -729,20 +735,20 @@ impl<C: Codec> Reactor<C> {
             close = true;
         }
         if !close {
-            let needs_write = conn.queued_bytes > 0;
-            if needs_write != conn.want_write {
-                conn.want_write = needs_write;
-                interest = Some((conn.stream.as_raw_fd(), needs_write));
+            let wanted = (!conn.peer_closed, conn.queued_bytes > 0);
+            if wanted != conn.interest {
+                conn.interest = wanted;
+                interest = Some((conn.stream.as_raw_fd(), wanted));
             }
         }
         if close {
             self.close_conn(idx);
             return;
         }
-        if let Some((fd, needs_write)) = interest {
+        if let Some((fd, (readable, writable))) = interest {
             let _ = self
                 .poller
-                .set_writable(fd, token_of(idx, gen), needs_write);
+                .set_interest(fd, token_of(idx, gen), readable, writable);
         }
     }
 

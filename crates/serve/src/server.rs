@@ -14,7 +14,7 @@
 //!   integration tests and shell examples use.
 //!
 //! Dispatch itself is sink-based: inline responses (ping/stats/shutdown,
-//! `hello`, parse and session errors, backpressure) are returned to the
+//! parse and session errors, backpressure) are returned to the
 //! caller, query work is admitted to the pool with a `deliver` callback
 //! the worker invokes when the response is ready.
 
@@ -31,7 +31,7 @@ use serde::Json;
 use crate::budget::BudgetPolicyConfig;
 use crate::metrics::{global_stats_json, session_stats_json, GlobalMetrics, GlobalSnapshot};
 use crate::pool::{RejectReason, WorkerPool};
-use crate::proto::{ErrorCode, FrameFormat, Request, Response};
+use crate::proto::{ErrorCode, Request, Response};
 use crate::reactor::{Codec, Dispatch, Framed, ReplyTo};
 use crate::session::SessionRegistry;
 
@@ -252,8 +252,7 @@ impl Server {
     /// backpressure are answered in the return value; query work is
     /// admitted to the pool and `deliver` fires from a worker with the
     /// response ([`Dispatch::Deferred`] — exactly one call, even if the
-    /// query panics). A `hello` is answered inline with its ack; the
-    /// transport decides whether it can switch framing.
+    /// query panics).
     fn handle_line(
         self: &Arc<Self>,
         line: &str,
@@ -285,7 +284,6 @@ impl Server {
                 self.global.mark_mutation();
                 Dispatch::Inline(Response::Ok { draining: true })
             }
-            Request::Hello { frame } => Dispatch::Inline(Response::Hello { frame }),
             Request::Query {
                 session,
                 spec,
@@ -384,18 +382,6 @@ impl Server {
     pub fn dispatch(self: &Arc<Self>, line: &str, out: &SharedWriter) {
         let deferred_out = out.clone();
         match self.handle_line(line, move |response| write_line(&deferred_out, &response)) {
-            // stdio is a line transport: acknowledging `json` is a no-op,
-            // but binary frames would corrupt the stream, so refuse.
-            Dispatch::Inline(Response::Hello {
-                frame: FrameFormat::Binary,
-            }) => write_line(
-                out,
-                &Response::Error {
-                    id: None,
-                    code: ErrorCode::BadRequest,
-                    message: "binary framing requires the TCP transport".to_owned(),
-                },
-            ),
             Dispatch::Inline(response) => write_line(out, &response),
             Dispatch::Deferred | Dispatch::Ignored => {}
         }
@@ -440,15 +426,14 @@ pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
-/// The newline-JSON codec: one request line in, one response out in the
-/// connection's negotiated framing. Clients match responses by `id`, so a
-/// connection may have any number of queries in flight.
+/// The newline-JSON codec: one request line in, one response line out.
+/// Clients match responses by `id`, so a connection may have any number of
+/// queries in flight.
 impl Codec for Server {
     const MAX_IN_FLIGHT: usize = usize::MAX;
     /// No legitimate request line is 16 MiB.
     const MAX_BUFFERED: usize = 16 << 20;
-    /// The response framing negotiated by `hello` (newline-JSON at first).
-    type State = FrameFormat;
+    type State = ();
     type Request = Vec<u8>;
     type Reply = Response;
 
@@ -462,7 +447,7 @@ impl Codec for Server {
 
     /// Frames one `\n`-terminated line; at EOF a final unterminated line is
     /// still served (stdio mode would serve it, TCP must too).
-    fn frame(&self, _: &mut FrameFormat, buf: &mut Vec<u8>, eof: bool) -> Framed<Vec<u8>> {
+    fn frame(&self, _: &mut (), buf: &mut Vec<u8>, eof: bool) -> Framed<Vec<u8>> {
         match buf.iter().position(|&b| b == b'\n') {
             Some(pos) => Framed::Request(buf.drain(..=pos).collect()),
             None if eof && !buf.is_empty() => Framed::Request(std::mem::take(buf)),
@@ -487,21 +472,10 @@ impl Codec for Server {
     }
 
     /// Rendering happens exactly once, here — the flush path only ever
-    /// gathers byte slices. A `hello` ack follows the STARTTLS convention:
-    /// it goes out in the *current* framing, and everything after it in
-    /// the new one.
-    fn render(&self, frame: &mut FrameFormat, response: &Response) -> Vec<u8> {
-        let unit = match frame {
-            FrameFormat::Json => {
-                let mut bytes = response.render().into_bytes();
-                bytes.push(b'\n');
-                bytes
-            }
-            FrameFormat::Binary => response.encode_frame(),
-        };
-        if let Response::Hello { frame: next } = response {
-            *frame = *next;
-        }
-        unit
+    /// gathers byte slices.
+    fn render(&self, response: &Response) -> Vec<u8> {
+        let mut bytes = response.render().into_bytes();
+        bytes.push(b'\n');
+        bytes
     }
 }

@@ -35,9 +35,9 @@ use std::time::Duration;
 use std::os::fd::RawFd;
 
 /// One readiness event: the token the fd was registered under, plus what
-/// it is ready for. The sweep backend reports both flags set (the reactor
-/// must treat readiness as a hint, never a guarantee — true for epoll
-/// level-triggered semantics too).
+/// it is ready for. The sweep backend reports both readiness flags set
+/// (the reactor must treat readiness as a hint, never a guarantee — true
+/// for epoll level-triggered semantics too) and never `hangup`.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The caller-chosen registration token.
@@ -46,6 +46,9 @@ pub struct Event {
     pub readable: bool,
     /// Writing would make progress.
     pub writable: bool,
+    /// The socket has an error pending or is shut down in both directions
+    /// (reported whatever the interest).
+    pub hangup: bool,
 }
 
 /// A cheap, clonable handle that interrupts a concurrent [`Poller::wait`].
@@ -152,12 +155,11 @@ impl Poller {
         }
     }
 
-    /// Registers `fd` under `token`, with write-readiness interest iff
-    /// `writable` (read interest is always on).
-    pub fn register(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    /// Registers `fd` under `token` with read interest only.
+    pub fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_ADD, fd, token, writable),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_ADD, fd, token, true, false),
             Poller::Sweep(p) => {
                 p.tokens.insert(token);
                 Ok(())
@@ -165,11 +167,17 @@ impl Poller {
         }
     }
 
-    /// Updates the write-interest of an already-registered fd.
-    pub fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    /// Sets the read and write interest of an already-registered fd.
+    pub fn set_interest(
+        &mut self,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_MOD, fd, token, writable),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_MOD, fd, token, readable, writable),
             Poller::Sweep(_) => Ok(()),
         }
     }
@@ -178,7 +186,7 @@ impl Poller {
     pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         match self {
             #[cfg(all(unix, target_os = "linux"))]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_DEL, fd, token, false),
+            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_DEL, fd, token, false, false),
             Poller::Sweep(p) => {
                 p.tokens.remove(&token);
                 Ok(())
@@ -238,6 +246,7 @@ impl SweepPoller {
             token,
             readable: true,
             writable: true,
+            hangup: false,
         }));
         Ok(woken)
     }
@@ -482,6 +491,7 @@ mod epoll {
                 ffi::EPOLL_CTL_ADD,
                 poller.wake_rx.as_raw_fd(),
                 WAKE_TOKEN,
+                true,
                 false,
             )?;
             Ok(poller)
@@ -492,10 +502,18 @@ mod epoll {
             op: i32,
             fd: RawFd,
             token: u64,
+            readable: bool,
             writable: bool,
         ) -> io::Result<()> {
+            let mut events = 0;
+            if readable {
+                events |= ffi::EPOLLIN | ffi::EPOLLRDHUP;
+            }
+            if writable {
+                events |= ffi::EPOLLOUT;
+            }
             let mut ev = ffi::EpollEvent {
-                events: ffi::EPOLLIN | ffi::EPOLLRDHUP | if writable { ffi::EPOLLOUT } else { 0 },
+                events,
                 data: token,
             };
             // SAFETY: `ev` lives across the call; the kernel copies it.
@@ -543,6 +561,7 @@ mod epoll {
                         & (ffi::EPOLLIN | ffi::EPOLLRDHUP | ffi::EPOLLERR | ffi::EPOLLHUP)
                         != 0,
                     writable: bits & (ffi::EPOLLOUT | ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
+                    hangup: bits & (ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
                 });
             }
             Ok(woken)
@@ -593,9 +612,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         listener.set_nonblocking(true).expect("nonblocking");
-        poller
-            .register(listener.as_raw_fd(), 7, false)
-            .expect("register");
+        poller.register(listener.as_raw_fd(), 7).expect("register");
 
         let mut events = Vec::new();
         // Nothing pending yet (sweep backend will report the token anyway —
@@ -621,7 +638,7 @@ mod tests {
         // Data readiness on the accepted stream.
         accepted.set_nonblocking(true).expect("nonblocking");
         poller
-            .register(accepted.as_raw_fd(), 9, false)
+            .register(accepted.as_raw_fd(), 9)
             .expect("register conn");
         client.write_all(b"hi").expect("write");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -1,298 +1,16 @@
-//! Framing torture tests: the binary frame codec under every adversarial
-//! byte-stream shape, and the JSON/binary framings proven equivalent
-//! against one live daemon.
-//!
-//! The codec half never opens a socket: seeded `SplitMix64` loops (the
-//! workspace's property-test convention — no external proptest) split
-//! encoded frames at every byte boundary, trickle them one byte at a
-//! time, concatenate pipelined frames in random chunkings, and inject
-//! truncated or oversized length prefixes, asserting byte-identical
-//! reassembly and typed [`FrameError`]s. The daemon half forces partial
-//! writes with a shrunken client `SO_RCVBUF` and checks that coalesced
-//! vectored flushes never interleave response bytes, then drives the
-//! same query stream over a JSON connection and a binary connection for
-//! every registered algorithm kind and demands identical answers, probe
-//! counts, and error codes.
+//! Framing torture test: coalesced vectored flushes under forced partial
+//! writes. A shrunken client `SO_RCVBUF` caps the TCP window the daemon can
+//! write into, so its `writev`s stop mid-line; every response must still
+//! arrive whole and in order.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lca::core::DynQuery;
-use lca::prelude::*;
-use lca_serve::proto::{
-    self, ErrorCode, FrameDecoder, FrameError, FrameFormat, Response, MAX_FRAME,
-};
 use lca_serve::server::{bind, Server, ServerConfig};
 use lca_serve::sys;
 use serde::Json;
-
-/// The standard SplitMix64 stream: deterministic, seed-labelled, and good
-/// enough to cover chunk-boundary space without a property-test framework.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
-    }
-}
-
-/// One of every response shape the wire can carry, with the edge cases
-/// that stress the codec: absent ids, empty strings, empty and
-/// multi-byte-bitset batches, every error code, and an embedded stats
-/// object.
-fn sample_responses() -> Vec<Response> {
-    let mut shapes = vec![
-        Response::Answer {
-            id: Some(7),
-            session: "torture".to_owned(),
-            answer: true,
-            probes: 19,
-            micros: 1_044,
-        },
-        Response::Answer {
-            id: None,
-            session: String::new(),
-            answer: false,
-            probes: 0,
-            micros: 0,
-        },
-        Response::Answer {
-            id: Some(u64::MAX),
-            session: "max".to_owned(),
-            answer: true,
-            probes: u64::MAX,
-            micros: u64::MAX,
-        },
-        Response::Answers {
-            id: Some(1),
-            session: "batch".to_owned(),
-            answers: vec![],
-            probes: 0,
-            micros: 3,
-        },
-        Response::Answers {
-            id: None,
-            session: "batch".to_owned(),
-            answers: (0..29).map(|i| i % 3 == 0).collect(),
-            probes: 812,
-            micros: 90,
-        },
-        Response::Ok { draining: false },
-        Response::Ok { draining: true },
-        Response::Stats(Json::Obj(vec![
-            ("stats".to_owned(), Json::Obj(vec![])),
-            ("nested".to_owned(), Json::Arr(vec![Json::Num(1.0)])),
-        ])),
-        Response::Hello {
-            frame: FrameFormat::Binary,
-        },
-        Response::Hello {
-            frame: FrameFormat::Json,
-        },
-    ];
-    for code in [
-        ErrorCode::BadRequest,
-        ErrorCode::UnknownSpec,
-        ErrorCode::UnknownSession,
-        ErrorCode::SessionMismatch,
-        ErrorCode::BadQuery,
-        ErrorCode::Overloaded,
-        ErrorCode::BudgetExhausted,
-        ErrorCode::Draining,
-        ErrorCode::Internal,
-        ErrorCode::DeadlineExceeded,
-    ] {
-        shapes.push(Response::Error {
-            id: if code.to_u8() % 2 == 0 {
-                Some(42)
-            } else {
-                None
-            },
-            code,
-            message: format!("torture {}", code.as_str()),
-        });
-    }
-    shapes
-}
-
-#[test]
-fn every_split_point_reassembles_byte_identically() {
-    for response in sample_responses() {
-        let frame = response.encode_frame();
-        for cut in 0..=frame.len() {
-            let mut decoder = FrameDecoder::new();
-            decoder.push(&frame[..cut]);
-            if cut < frame.len() {
-                assert_eq!(
-                    decoder.next_frame().expect("prefix is never an error"),
-                    None,
-                    "cut {cut} of {} yielded a frame early: {response:?}",
-                    frame.len()
-                );
-            }
-            decoder.push(&frame[cut..]);
-            let decoded = decoder
-                .next_frame()
-                .unwrap_or_else(|e| panic!("cut {cut}: {e}: {response:?}"))
-                .unwrap_or_else(|| panic!("cut {cut}: frame incomplete: {response:?}"));
-            assert_eq!(decoded, response, "cut {cut}");
-            assert_eq!(decoder.pending(), 0, "cut {cut} left residue");
-            // Byte-identical reassembly: re-encoding the decoded value
-            // must reproduce the original frame exactly.
-            assert_eq!(decoded.encode_frame(), frame, "cut {cut}");
-        }
-    }
-}
-
-#[test]
-fn trickling_one_byte_at_a_time_decodes_the_full_pipeline() {
-    let responses = sample_responses();
-    let mut wire = Vec::new();
-    for response in &responses {
-        wire.extend_from_slice(&response.encode_frame());
-    }
-    let mut decoder = FrameDecoder::new();
-    let mut decoded = Vec::new();
-    for &byte in &wire {
-        decoder.push(&[byte]);
-        while let Some(response) = decoder.next_frame().expect("trickled bytes stay valid") {
-            decoded.push(response);
-        }
-    }
-    assert_eq!(decoded, responses);
-    assert_eq!(decoder.pending(), 0);
-}
-
-#[test]
-fn random_chunkings_of_concatenated_frames_preserve_order_and_bytes() {
-    // Seeded loop over random pipelines and random chunk boundaries; each
-    // iteration is reproducible from the printed seed.
-    let shapes = sample_responses();
-    for seed in 0..64u64 {
-        let mut rng = SplitMix64(0xF4A_217 ^ (seed << 8));
-        let pipeline: Vec<Response> = (0..1 + rng.below(12))
-            .map(|_| shapes[rng.below(shapes.len())].clone())
-            .collect();
-        let mut wire = Vec::new();
-        for response in &pipeline {
-            wire.extend_from_slice(&response.encode_frame());
-        }
-        let mut decoder = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        let mut offset = 0;
-        while offset < wire.len() {
-            let chunk = 1 + rng.below(97).min(wire.len() - offset - 1);
-            decoder.push(&wire[offset..offset + chunk]);
-            offset += chunk;
-            while let Some(response) = decoder
-                .next_frame()
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
-            {
-                decoded.push(response);
-            }
-        }
-        assert_eq!(decoded, pipeline, "seed {seed}");
-        assert_eq!(decoder.pending(), 0, "seed {seed}");
-    }
-}
-
-#[test]
-fn every_strict_payload_prefix_is_a_typed_error() {
-    // No strict prefix of a valid payload may decode (every field is
-    // either fixed-width or length-prefixed), and the failure must be a
-    // typed FrameError, not a panic or a wrong value.
-    for response in sample_responses() {
-        let frame = response.encode_frame();
-        let payload = &frame[4..];
-        for cut in 0..payload.len() {
-            let err = Response::decode_payload(&payload[..cut])
-                .expect_err("strict prefix decoded cleanly");
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated(_)
-                        | FrameError::Malformed(_)
-                        | FrameError::BadLength { .. }
-                ),
-                "cut {cut} of {response:?}: unexpected error class {err:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn corrupt_length_prefixes_and_junk_payloads_fail_typed() {
-    // Zero length.
-    let mut decoder = FrameDecoder::new();
-    decoder.push(&0u32.to_le_bytes());
-    assert_eq!(
-        decoder.next_frame().expect_err("zero length accepted"),
-        FrameError::BadLength { len: 0 }
-    );
-
-    // Oversized length: rejected from the prefix alone, before any
-    // payload bytes arrive (a 4 GiB allocation bomb must not be honored).
-    let huge = (MAX_FRAME as u32) + 1;
-    let mut decoder = FrameDecoder::new();
-    decoder.push(&huge.to_le_bytes());
-    assert_eq!(
-        decoder.next_frame().expect_err("oversized length accepted"),
-        FrameError::BadLength { len: huge }
-    );
-
-    // Unknown tag.
-    let mut decoder = FrameDecoder::new();
-    decoder.push(&1u32.to_le_bytes());
-    decoder.push(&[0xEE]);
-    assert_eq!(
-        decoder.next_frame().expect_err("junk tag accepted"),
-        FrameError::BadTag(0xEE)
-    );
-
-    // Declared length longer than the payload the tag consumes.
-    let frame = (Response::Ok { draining: true }).encode_frame();
-    let mut padded = ((frame.len() - 4 + 3) as u32).to_le_bytes().to_vec();
-    padded.extend_from_slice(&frame[4..]);
-    padded.extend_from_slice(&[0, 0, 0]);
-    let mut decoder = FrameDecoder::new();
-    decoder.push(&padded);
-    assert_eq!(
-        decoder.next_frame().expect_err("trailing bytes accepted"),
-        FrameError::TrailingBytes { extra: 3 }
-    );
-
-    // A reader whose stream dies mid-frame reports UnexpectedEof; a
-    // stream that ends cleanly between frames reports None.
-    let frame = (Response::Ok { draining: false }).encode_frame();
-    for cut in 1..frame.len() {
-        let mut truncated = &frame[..cut];
-        let err = proto::read_binary_frame(&mut truncated).expect_err("truncation accepted");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
-    }
-    let mut clean: &[u8] = &[];
-    assert_eq!(
-        proto::read_binary_frame(&mut clean).expect("clean EOF"),
-        None
-    );
-    let mut whole: &[u8] = &frame;
-    assert_eq!(
-        proto::read_binary_frame(&mut whole).expect("whole frame"),
-        Some(Response::Ok { draining: false })
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Live-daemon halves: partial-write interleaving and framing equivalence.
 
 /// Spawns a daemon on an ephemeral port; returns its address and the
 /// serve-loop handle (joined by sending a shutdown request).
@@ -331,16 +49,6 @@ impl Client {
         }
     }
 
-    /// Switches this connection's responses to binary frames.
-    fn negotiate_binary(&mut self) {
-        let ack = self.roundtrip_line(&proto::hello_line(FrameFormat::Binary));
-        assert_eq!(
-            ack.get("frame").and_then(Json::as_str),
-            Some("binary"),
-            "hello refused: {ack:?}"
-        );
-    }
-
     fn send_line(&mut self, line: &str) {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
@@ -349,10 +57,7 @@ impl Client {
 
     fn roundtrip_line(&mut self, line: &str) -> Json {
         self.send_line(line);
-        let mut response = String::new();
-        self.reader.read_line(&mut response).expect("read");
-        serde_json::from_str(response.trim())
-            .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
+        self.read_json_line()
     }
 
     fn read_json_line(&mut self) -> Json {
@@ -364,21 +69,14 @@ impl Client {
         serde_json::from_str(response.trim())
             .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
     }
-
-    fn read_frame(&mut self) -> Response {
-        proto::read_binary_frame(&mut self.reader)
-            .expect("frame read")
-            .expect("EOF mid-pipeline")
-    }
 }
 
 #[test]
 fn forced_partial_writes_never_interleave_responses() {
     // A client that pipelines hundreds of requests into a tiny receive
     // window while reading nothing forces the reactor into short vectored
-    // writes mid-frame. Every buffered byte must still come out in order:
-    // each JSON line parses, each binary frame decodes, and ids arrive in
-    // request order on both connections.
+    // writes mid-line. Every buffered byte must still come out in order:
+    // each JSON line parses, and responses arrive in request order.
     let (addr, handle, _server) = spawn_server(ServerConfig {
         workers: 1,
         queue_capacity: 16,
@@ -386,192 +84,25 @@ fn forced_partial_writes_never_interleave_responses() {
     });
     let pipelined = 800usize;
 
-    for binary in [false, true] {
-        let mut client = Client::connect(&addr, Some(2048));
-        if binary {
-            client.negotiate_binary();
-        }
-        // `stats` is answered inline with a multi-hundred-byte body:
-        // hundreds of them dwarf the 2 KiB window and pile into the
-        // connection's write queue before the first read below.
-        for id in 0..pipelined {
-            client.send_line(&format!("{{\"id\":{id},\"op\":\"ping\"}}"));
-            client.send_line("{\"op\":\"stats\"}");
-        }
-        let mut stats_seen = 0;
-        for id in 0..pipelined {
-            if binary {
-                match client.read_frame() {
-                    Response::Ok { draining } => assert!(!draining, "id {id}"),
-                    other => panic!("id {id}: expected ok, got {other:?}"),
-                }
-                match client.read_frame() {
-                    Response::Stats(json) => {
-                        assert!(json.get("stats").is_some(), "id {id}");
-                        stats_seen += 1;
-                    }
-                    other => panic!("id {id}: expected stats, got {other:?}"),
-                }
-            } else {
-                let ok = client.read_json_line();
-                assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "id {id}");
-                let stats = client.read_json_line();
-                assert!(stats.get("stats").is_some(), "id {id}: {stats:?}");
-                stats_seen += 1;
-            }
-        }
-        assert_eq!(stats_seen, pipelined, "binary={binary}");
+    let mut client = Client::connect(&addr, Some(2048));
+    // `stats` is answered inline with a multi-hundred-byte body:
+    // hundreds of them dwarf the 2 KiB window and pile into the
+    // connection's write queue before the first read below.
+    for id in 0..pipelined {
+        client.send_line(&format!("{{\"id\":{id},\"op\":\"ping\"}}"));
+        client.send_line("{\"op\":\"stats\"}");
     }
+    let mut stats_seen = 0;
+    for id in 0..pipelined {
+        let ok = client.read_json_line();
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "id {id}");
+        let stats = client.read_json_line();
+        assert!(stats.get("stats").is_some(), "id {id}: {stats:?}");
+        stats_seen += 1;
+    }
+    assert_eq!(stats_seen, pipelined);
 
     let mut client = Client::connect(&addr, None);
     client.roundtrip_line(r#"{"op":"shutdown"}"#);
-    handle.join().expect("drain");
-}
-
-/// Strips the fields that legitimately differ between the two framings'
-/// connections: `session` (paired sessions use distinct names),
-/// `message` (human-readable detail that may embed the session name — the
-/// typed contract is the `error` code), and `micros` (wall-clock).
-/// Everything else must match exactly.
-fn comparable(mut json: Json) -> Json {
-    if let Json::Obj(fields) = &mut json {
-        fields.retain(|(k, _)| k != "micros" && k != "session" && k != "message");
-    }
-    json
-}
-
-#[test]
-fn json_and_binary_framings_agree_on_every_algorithm_kind() {
-    // One daemon, two connections — one per framing. For every registered
-    // algorithm kind, paired sessions with identical specs (sessions are
-    // independent instances, so cold-state behavior is identical) receive
-    // the same query stream: sampled in-range queries, a batch, an
-    // out-of-range vertex, a 1-probe budget trip on a fresh session, and
-    // a spec-less unknown session. Answers, probe counts, and error codes
-    // must be identical field-by-field.
-    let (addr, handle, _server) = spawn_server(ServerConfig {
-        workers: 2,
-        queue_capacity: 64,
-        ..ServerConfig::default()
-    });
-    let mut json_client = Client::connect(&addr, None);
-    let mut bin_client = Client::connect(&addr, None);
-    bin_client.negotiate_binary();
-
-    let n = 20_000usize;
-    let seed = 77u64;
-    let family = ImplicitFamily::Gnp;
-    let oracle = family.build(n, lca_serve::input_seed(seed));
-
-    let roundtrip_both =
-        |json_client: &mut Client, bin_client: &mut Client, json_line: &str, bin_line: &str| {
-            let via_json = json_client.roundtrip_line(json_line);
-            bin_client.send_line(bin_line);
-            let via_binary = serde_json::from_str(&bin_client.read_frame().render())
-                .expect("decoded frame re-renders to JSON");
-            assert_eq!(
-                comparable(via_json.clone()),
-                comparable(via_binary),
-                "framings disagree on {json_line}"
-            );
-            via_json
-        };
-
-    let mut compared = 0;
-    for kind in AlgorithmKind::all() {
-        let spec = |session: &str| {
-            format!(
-                "\"session\":\"{session}\",\"kind\":\"{}\",\"family\":\"gnp\",\
-                 \"n\":{n},\"seed\":{seed}",
-                kind.name()
-            )
-        };
-        let js = spec(&format!("dj-{}", kind.name()));
-        let bs = spec(&format!("db-{}", kind.name()));
-
-        // Sampled in-range queries, answered and metered identically.
-        let queries = QuerySource::sample(8, Seed::new(4_000 + seed)).queries(kind, &oracle);
-        for (i, query) in queries.iter().enumerate() {
-            let wire = match query {
-                DynQuery::Vertex(v) => format!("{}", v.raw()),
-                DynQuery::Edge(u, v) => format!("[{},{}]", u.raw(), v.raw()),
-            };
-            let r = roundtrip_both(
-                &mut json_client,
-                &mut bin_client,
-                &format!("{{\"id\":{i},{js},\"query\":{wire}}}"),
-                &format!("{{\"id\":{i},{bs},\"query\":{wire}}}"),
-            );
-            assert!(r.get("answer").is_some(), "{}: {r:?}", kind.name());
-            assert!(r.get("probes").and_then(Json::as_u64).is_some());
-            compared += 1;
-        }
-
-        // A batch; answers and the summed probe meter must agree.
-        let batch: Vec<String> = queries
-            .iter()
-            .take(4)
-            .map(|q| match q {
-                DynQuery::Vertex(v) => format!("{}", v.raw()),
-                DynQuery::Edge(u, v) => format!("[{},{}]", u.raw(), v.raw()),
-            })
-            .collect();
-        let r = roundtrip_both(
-            &mut json_client,
-            &mut bin_client,
-            &format!("{{{js},\"queries\":[{}]}}", batch.join(",")),
-            &format!("{{{bs},\"queries\":[{}]}}", batch.join(",")),
-        );
-        assert!(r.get("answers").is_some(), "{}: {r:?}", kind.name());
-        compared += 1;
-
-        // Typed errors: out-of-range vertex, and a 1-probe budget on a
-        // fresh session (cold walks cost ≥ 1 probe on every kind).
-        let r = roundtrip_both(
-            &mut json_client,
-            &mut bin_client,
-            &format!("{{{js},\"query\":{}}}", n * 10),
-            &format!("{{{bs},\"query\":{}}}", n * 10),
-        );
-        assert_eq!(r.get("error").and_then(Json::as_str), Some("bad-query"));
-        compared += 1;
-
-        let jx = spec(&format!("djx-{}", kind.name()));
-        let bx = spec(&format!("dbx-{}", kind.name()));
-        let wire = match &queries[0] {
-            DynQuery::Vertex(v) => format!("{}", v.raw()),
-            DynQuery::Edge(u, v) => format!("[{},{}]", u.raw(), v.raw()),
-        };
-        let r = roundtrip_both(
-            &mut json_client,
-            &mut bin_client,
-            &format!("{{{jx},\"max_probes\":1,\"query\":{wire}}}"),
-            &format!("{{{bx},\"max_probes\":1,\"query\":{wire}}}"),
-        );
-        assert_eq!(
-            r.get("error").and_then(Json::as_str),
-            Some("budget-exhausted"),
-            "{}: {r:?}",
-            kind.name()
-        );
-        compared += 1;
-    }
-
-    // Spec-less unknown sessions fail identically too.
-    let r = roundtrip_both(
-        &mut json_client,
-        &mut bin_client,
-        r#"{"session":"ghost-j","query":1}"#,
-        r#"{"session":"ghost-b","query":1}"#,
-    );
-    assert_eq!(
-        r.get("error").and_then(Json::as_str),
-        Some("unknown-session")
-    );
-    compared += 1;
-
-    assert_eq!(compared, AlgorithmKind::all().len() * 11 + 1);
-
-    json_client.roundtrip_line(r#"{"op":"shutdown"}"#);
     handle.join().expect("drain");
 }

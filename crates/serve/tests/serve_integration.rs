@@ -192,6 +192,91 @@ fn protocol_errors_are_typed_and_session_pinning_is_enforced() {
     handle.join().expect("drain");
 }
 
+/// The removed `hello` op, answered like any unknown op.
+const HELLO: &str = r#"{"id":4,"op":"hello","frame":"binary"}"#;
+
+fn assert_hello_refused(r: &Json) {
+    assert_eq!(
+        r.get("error").and_then(Json::as_str),
+        Some("bad-request"),
+        "{r:?}"
+    );
+    assert_eq!(r.get("id").and_then(Json::as_u64), Some(4), "{r:?}");
+    let message = r.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("unknown op"), "{r:?}");
+}
+
+#[test]
+fn hello_is_refused_over_tcp_and_the_connection_stays_json() {
+    let (addr, handle, _server) = spawn_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr);
+    assert_hello_refused(&client.roundtrip(HELLO));
+    // The next line on the same connection is the query's JSON answer:
+    // the refusal was one line, and nothing switched framing.
+    let r = client.roundtrip(r#"{"id":5,"session":"h","kind":"mis","n":1000,"query":3}"#);
+    assert_eq!(r.get("id").and_then(Json::as_u64), Some(5), "{r:?}");
+    assert!(r.get("answer").and_then(Json::as_bool).is_some(), "{r:?}");
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    handle.join().expect("drain");
+}
+
+#[test]
+fn hello_is_refused_over_stdio_dispatch() {
+    /// A writer that appends into a shared buffer the test can inspect.
+    struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for Capture {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let captured = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let out: lca_serve::server::SharedWriter =
+        Arc::new(std::sync::Mutex::new(Box::new(Capture(captured.clone()))));
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    server.dispatch(HELLO, &out);
+    server.dispatch(
+        r#"{"id":5,"session":"h","kind":"mis","n":1000,"query":3}"#,
+        &out,
+    );
+    // The query is answered on a worker; wait for its line.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let lines = loop {
+        let text = String::from_utf8(captured.lock().unwrap().clone()).expect("UTF-8");
+        if text.lines().count() >= 2 {
+            break text;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "query never answered: {text:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let lines: Vec<Json> = lines
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad line {l:?}: {e}")))
+        .collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert_hello_refused(&lines[0]);
+    assert_eq!(
+        lines[1].get("id").and_then(Json::as_u64),
+        Some(5),
+        "{lines:?}"
+    );
+    assert!(lines[1].get("answer").and_then(Json::as_bool).is_some());
+}
+
 #[test]
 fn loadgen_closed_loop_verifies_against_the_daemon() {
     let (addr, handle, _server) = spawn_server(ServerConfig {
